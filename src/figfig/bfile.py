@@ -11,7 +11,7 @@ import io
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .checks import CheckReport
-from .stream import SEQUENCE_IDS, TripleStream
+from .stream import SEQUENCE_IDS, _rows
 
 __all__ = [
     "BFileFormatError",
@@ -83,7 +83,8 @@ def write_bfile(records: Sequence[BFileRecord], sink: IO[str]) -> None:
 
 
 def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
-    """Stream the generator over the record range and report the first mismatch."""
+    """Jump to the first record's index, stream the generator over the
+    record range from there, and report the first mismatch."""
     if seq not in SEQUENCE_IDS:
         raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
     if not records:
@@ -91,11 +92,8 @@ def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
     _check_contiguous(records)
     lo, hi = records[0].index, records[-1].index
     name = f"compare:{seq}"
-    stream = TripleStream()
-    for _ in range(lo - 1):
-        stream.next_triple()
-    for record in records:
-        value = getattr(stream.next_triple(), seq)
+    for record, row in zip(records, _rows(lo)):
+        value = getattr(row, seq)
         if value != record.value:
             return CheckReport(
                 name, lo, hi, False,

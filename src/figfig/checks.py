@@ -21,8 +21,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .series import _a_tail, MAX_ORDER, eval_u_series
-from .stream import SEQUENCE_IDS, TripleStream, Triple
+from .series import _a_tail, _u_sum, MAX_ORDER
+from .stream import SEQUENCE_IDS, TripleStream, Triple, _rows
 
 __all__ = [
     "CheckReport",
@@ -95,7 +95,7 @@ def check_partition(upto: int) -> CheckReport:
     name = "partition"
     expect = 1  # smallest integer not yet covered
     pending_a: deque[int] = deque()
-    for row in TripleStream():
+    for row in _rows(1):
         if row.a <= upto:
             pending_a.append(row.a)
         while pending_a and pending_a[0] < row.b:
@@ -158,9 +158,7 @@ def check_bounds(upto: int) -> CheckReport:
     if upto < 1:
         raise ValueError("upto must be >= 1")
     name = "bounds"
-    stream = TripleStream()
-    for n in range(1, upto + 1):
-        row = stream.next_triple()
+    for n, row in zip(range(1, upto + 1), _rows(1)):
         if row.u < 1:
             return _failed(name, 1, upto, n, f"u = {row.u} below 1")
         if not sqrt_window_bound_holds(n, row.u):
@@ -176,39 +174,33 @@ def check_bounds(upto: int) -> CheckReport:
     return _passed(name, 1, upto)
 
 
-def _next_root(n: int, order: int) -> float:
-    # (n/2)^(1/2^(order+1)): one square root past the last summed term.
-    x = n / 2
-    for _ in range(order + 1):
-        x = math.sqrt(x)
-    return x
-
-
 def _series_parts(seq: str, order: int, row: Triple) -> tuple[int, float, float, float]:
     """(exact, series, remainder, scaled) for one row of one sequence.
 
     For b everything except the reported exact and series values is taken
     from the u computation, since the two differ by exactly n on both the
     exact and the series side.  For a the remainder subtracts the n^2/2
-    head in integers before any float enters, to dodge cancellation.
+    head in integers before any float enters, to dodge cancellation.  The
+    next rung (n/2)^(1/2^(order+1)) is one square root past the last rung
+    of the ladder that summed the series.
     """
     n = row.n
     if seq == "a":
-        tail = _a_tail(n, order)
+        tail, rung = _a_tail(n, order)
         series = n * n / 2 + tail
         remainder = (2 * row.a - n * n) / 2 - tail
-        scaled = remainder / ((n / 2) * _next_root(n, order))
+        scaled = remainder / ((n / 2) * math.sqrt(rung))
         return row.a, series, remainder, scaled
-    u_series = eval_u_series(n, order)
+    u_series, rung = _u_sum(n, order)
     remainder = row.u - u_series
-    scaled = remainder / _next_root(n, order)
+    scaled = remainder / math.sqrt(rung)
     if seq == "b":
         return row.b, n + u_series, remainder, scaled
     return row.u, u_series, remainder, scaled
 
 
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
-    """RemainderRow for each requested index, in one streaming pass.
+    """RemainderRow for each requested index, each reached by O(sqrt n) jump-ahead.
 
     ns must be non-empty and strictly increasing; order is the truncation
     depth whose next rung scales the remainder.
@@ -221,16 +213,10 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
         raise ValueError("ns must be non-empty")
     if any(ns[i] >= ns[i + 1] for i in range(len(ns) - 1)) or ns[0] < 1:
         raise ValueError("ns must be strictly increasing positive integers")
-    rows = []
-    targets = iter(ns)
-    target = next(targets)
-    for row in TripleStream():
-        if row.n == target:
-            rows.append(RemainderRow(row.n, order, *_series_parts(seq, order, row)))
-            target = next(targets, None)
-            if target is None:
-                return rows
-    raise AssertionError("unreachable: the stream is infinite")
+    return [
+        RemainderRow(n, order, *_series_parts(seq, order, next(_rows(n))))
+        for n in ns
+    ]
 
 
 def decade_remainder_means(
@@ -238,8 +224,9 @@ def decade_remainder_means(
 ) -> list[tuple[int, float]]:
     """Mean scaled remainder over each decade [10^d, 10^(d+1)).
 
-    One streaming pass covering d = first_decade..last_decade; the means
-    drift toward the next coefficient as the decades climb.
+    One streaming pass covering d = first_decade..last_decade, started by
+    jump-ahead at 10^first_decade; the means drift toward the next
+    coefficient as the decades climb.
     """
     if seq not in SEQUENCE_IDS:
         raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
@@ -252,9 +239,7 @@ def decade_remainder_means(
     sums = [0.0] * (last_decade - first_decade + 1)
     counts = [0] * len(sums)
     slot, boundary = 0, 10 * lo
-    for row in TripleStream():
-        if row.n < lo:
-            continue
+    for row in _rows(lo):
         if row.n >= hi:
             break
         if row.n >= boundary:

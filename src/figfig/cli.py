@@ -3,15 +3,17 @@
 Data rows go to standard output (or the --out file where offered); notes
 and error messages go to standard error.  Exit status is 0 for success,
 1 for a failed verification or comparison, 2 for usage or input-format
-problems.
+problems.  A reader that closes standard output early, as `head` does,
+ends the run normally with status 0 and nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from .bfile import BFileFormatError, compare_reference, parse_bfile
@@ -23,7 +25,7 @@ from .checks import (
     remainder_table,
 )
 from .series import MAX_ORDER, a_coeff, eval_a_series, eval_b_series, eval_u_series, u_coeff
-from .stream import TripleStream
+from .stream import _rows
 
 __all__ = ["main", "run_cli"]
 
@@ -99,8 +101,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.seq == "triple" and args.format == "bfile":
         print("error: bfile format holds one sequence; use --seq a, b, or u", file=sys.stderr)
         return _USAGE
-    stream = TripleStream()
-    rows = (stream.next_triple() for _ in range(args.count))
+    rows = islice(_rows(1), args.count)
     if args.seq == "triple":
         if args.format == "csv":
             lines = chain(
@@ -257,7 +258,17 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed its message
         return _OK if exc.code in (0, None) else _USAGE
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early, as `figfig gen ... | head` does:
+        # a normal end.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _OK
     except BFileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE

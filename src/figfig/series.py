@@ -94,16 +94,22 @@ def _a_coeff_float(k: int) -> float:
     return float(a_coeff(k))
 
 
-def eval_u_series(n: int, order: int) -> float:
-    """Truncated u-series at index n, positions 1..order summed in order."""
-    _check_index(n)
-    _check_order(order)
+def _u_sum(n: int, order: int) -> tuple[float, float]:
+    # (u-series, last rung (n/2)^(1/2^order)): one more square root of the
+    # rung gives the next term's power without climbing the ladder again.
     root = n / 2
     total = 0.0
     for k in range(1, order + 1):
         root = math.sqrt(root)  # (n/2)^(1/2^k), same ops as root_pow
         total += _u_coeff_float(k) * root
-    return total
+    return total, root
+
+
+def eval_u_series(n: int, order: int) -> float:
+    """Truncated u-series at index n, positions 1..order summed in order."""
+    _check_index(n)
+    _check_order(order)
+    return _u_sum(n, order)[0]
 
 
 def eval_b_series(n: int, order: int) -> float:
@@ -111,20 +117,20 @@ def eval_b_series(n: int, order: int) -> float:
     return n + eval_u_series(n, order)
 
 
-def _a_tail(n: int, order: int) -> float:
-    # Each power 1 + 1/2^k is split as (n/2) * (n/2)^(1/2^k) so no
-    # intermediate ever exceeds n.
+def _a_tail(n: int, order: int) -> tuple[float, float]:
+    # (tail, last rung), as _u_sum.  Each power 1 + 1/2^k is split as
+    # (n/2) * (n/2)^(1/2^k) so no intermediate ever exceeds n.
     half = n / 2
     root = half
     total = 0.0
     for k in range(1, order + 1):
         root = math.sqrt(root)
         total += _a_coeff_float(k) * root * half
-    return total
+    return total, root
 
 
 def eval_a_series(n: int, order: int) -> float:
     """Truncated a-series at index n: n^2/2 plus the summed tail."""
     _check_index(n)
     _check_order(order)
-    return n * n / 2 + _a_tail(n, order)
+    return n * n / 2 + _a_tail(n, order)[0]

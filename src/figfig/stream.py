@@ -1,22 +1,26 @@
-"""Streaming generation of the figure-figure triple (n, a_n, b_n, u_n).
+"""Generation of the figure-figure triple (n, a_n, b_n, u_n) by runs.
 
 The sequence pair is pinned down by three conditions: the a-values and
 b-values together cover every positive integer exactly once, b lists the
 consecutive differences of a, and a is lexicographically least (which
-forces b to be increasing).  Starting from a_1 = 1 and b_1 = 2, each step
-is therefore greedy:
+forces b to be increasing).  So a_1 = 1, a_{n+1} = a_n + b_n, and b runs
+through every integer strictly between consecutive a-values:
 
-    a_{n+1} = a_n + b_n
-    b_{n+1} = smallest integer above b_n that is not an a-value
-    u_n     = b_n - n   (the counting companion)
+    b takes the values a_k + 1, ..., a_{k+1} - 1 in order   (a run)
+    u_n = b_n - n = k  throughout that run
 
-The only membership questions ever asked are about a-values just above
-the current b.  Because b grows linearly while a grows quadratically,
-those live at indices near sqrt(2 n), so the stream retains just that
-leading slice of a-values (about u_n + 2 entries) and regrows it from the
-recurrence a_{m+1} = a_m + m + u_m whenever the skip cursor catches up.
-Memory therefore stays O(sqrt n) no matter how far the stream runs, and
-each step costs amortized O(1) integer operations.
+A run of b is therefore just a range, and its index window is
+(a_k - k, a_{k+1} - (k + 1)], of width b_k - 1.  The bounds a_k are
+themselves read from a lagging copy of the same generator: the run at
+index n needs a-values only up to index u_n + 1, about sqrt(2 n), and
+that copy in turn needs only about sqrt(2 sqrt(2 n)), so the nesting is
+O(log log n) deep and each row costs amortized O(1) integer operations.
+
+Random access follows from the windows.  Since a_n = 1 + (n-1)n/2 + the
+sum of u_i over i < n, and u is constant on each window, that sum is
+k * (width of window k) over the whole windows below n plus one partial
+window.  Jumping to index n therefore walks only the ~sqrt(2 n) leading
+a-values and precomputes no table.
 """
 
 from __future__ import annotations
@@ -37,6 +41,58 @@ class Triple(NamedTuple):
     u: int
 
 
+def _a_values() -> Iterator[int]:
+    """a_1, a_2, ... as running sums of the runs of b.
+
+    The run bounds come from a lagging instance of this generator.  The
+    first three values are given and the summing starts at b_3 = 5, inside
+    the run between a_2 = 3 and a_3 = 7, so the lag serves those bounds
+    from its own given values.  An instance asks its lag for a_4 only
+    after yielding a_5, so each copy stays well behind the one it feeds.
+    """
+    yield from (1, 3, 7)
+    lag = _a_values()
+    for _ in range(3):
+        hi = next(lag)
+    a, first = 7, 5
+    while True:
+        for b in range(first, hi):
+            a += b
+            yield a
+        first, hi = hi + 1, next(lag)
+
+
+def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
+    """Rows from index `start` (>= 1) on, one run of constant u at a time.
+
+    First walks whole windows of the a-values from `lag` (a fresh
+    _a_values() by default) to find the run k holding `start` and the sum
+    of u below it, about sqrt(2 start) steps; then yields run by run.
+    """
+    lag = _a_values() if lag is None else lag
+    k, lo, hi = 1, next(lag), next(lag)
+    u_sum = 0  # sum of u over the whole windows below window k
+    while hi - (k + 1) < start:
+        u_sum += k * (hi - lo - 1)
+        k, lo, hi = k + 1, hi, next(lag)
+    n = start
+    u_sum += k * (n - 1 - (lo - k))
+    a = 1 + (n - 1) * n // 2 + u_sum
+    first = n + k  # b_n
+    while True:
+        for b in range(first, hi):
+            yield Triple(n, a, b, k)
+            a += b
+            n += 1
+        k, first, hi = k + 1, hi + 1, next(lag)
+
+
+def _recorded(values: Iterator[int], into: list[int]) -> Iterator[int]:
+    for value in values:
+        into.append(value)
+        yield value
+
+
 class TripleStream:
     """Stateful producer of Triple rows in index order, one owner at a time.
 
@@ -46,57 +102,14 @@ class TripleStream:
     """
 
     def __init__(self) -> None:
-        self._n = 0
-        self._a = 0
-        self._b = 0
-        self._u = 0
-        # Leading a-values a_1..a_M.  Invariant once started: strictly
-        # increasing, final entry above the current b, length <= u_n + 2.
+        # The run bounds a_1..a_{u+1} consumed so far: the leading slice of
+        # a-values, which stays O(sqrt n) long however far the stream runs.
         self._prefix: list[int] = []
-        self._frontier_u = 0  # u_M at the prefix frontier M = len(_prefix)
-        self._skip = 0  # prefix position of the smallest a-value > b_n
-
-    def _grow_prefix(self) -> None:
-        # a_{M+1} = a_M + b_M with b_M = M + u_M.  The frontier u then moves
-        # by 0 or 1, decided by the counting window against a_{u+1}, which
-        # sits well inside the slice already built.
-        prefix = self._prefix
-        m = len(prefix)
-        prefix.append(prefix[m - 1] + m + self._frontier_u)
-        if m + 1 > prefix[self._frontier_u] - (self._frontier_u + 1):
-            self._frontier_u += 1
+        self._rows = _rows(1, _recorded(_a_values(), self._prefix))
 
     def next_triple(self) -> Triple:
         """Advance one index and return the new row."""
-        if self._n == 0:
-            self._n, self._a, self._b, self._u = 1, 1, 2, 1
-            self._prefix = [1]
-            self._frontier_u = 1
-            self._skip = 1
-            while self._prefix[-1] <= self._b:
-                self._grow_prefix()
-            return Triple(1, 1, 2, 1)
-        a_next = self._a + self._b
-        candidate = self._b + 1
-        # Consecutive a-values differ by a b-value, hence by at least 2, so
-        # at most one skip fires per step; the loop also regrows the prefix
-        # when the cursor reaches its end.
-        while True:
-            if self._skip == len(self._prefix):
-                self._grow_prefix()
-            if self._prefix[self._skip] != candidate:
-                break
-            candidate += 1
-            self._skip += 1
-        self._n += 1
-        self._a = a_next
-        self._b = candidate
-        self._u = candidate - self._n
-        # Keep an a-value above b on hand so the cursor and the counting
-        # window stay inside the slice.
-        while self._prefix[-1] <= self._b:
-            self._grow_prefix()
-        return Triple(self._n, self._a, self._b, self._u)
+        return next(self._rows)
 
     def take(self, count: int) -> list[Triple]:
         """The next `count` rows as a list (count >= 1)."""
@@ -107,8 +120,8 @@ class TripleStream:
     def early_a(self, m: int) -> int:
         """a_m for an index still inside the retained leading slice.
 
-        Valid for 1 <= m <= u_n + 1 at every point of the stream (often one
-        index further); raises IndexError beyond the slice.
+        Valid for 1 <= m <= u_n + 1 at every point of the stream; raises
+        IndexError beyond the slice.
         """
         if m < 1:
             raise ValueError("a-index must be >= 1")
@@ -132,12 +145,9 @@ def triples() -> Iterator[Triple]:
 
 
 def value_at(seq: str, n: int) -> int:
-    """The n-th term of sequence "a", "b", or "u", streamed from the start."""
+    """The n-th term of sequence "a", "b", or "u", by O(sqrt n) jump-ahead."""
     if seq not in SEQUENCE_IDS:
         raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
     if n < 1:
         raise ValueError("index must be >= 1")
-    stream = TripleStream()
-    for _ in range(n - 1):
-        stream.next_triple()
-    return getattr(stream.next_triple(), seq)
+    return getattr(next(_rows(n)), seq)

@@ -135,3 +135,14 @@ def test_reference_files_lead_with_published_terms(filename, leading):
     assert len(records) == 10_000
     assert records[0].index == 1
     assert [r.value for r in records[:10]] == leading
+
+
+def test_compare_tail_slice_of_reference_file():
+    with open(DATA / "b005228.txt", encoding="utf-8") as source:
+        tail = parse_bfile(source)[9000:]
+    report = compare_reference(tail, "a")
+    assert report.passed
+    assert (report.lo, report.hi) == (9001, 10_000)
+    corrupted = tail[:500] + [BFileRecord(9501, tail[500].value + 1)] + tail[501:]
+    report = compare_reference(corrupted, "a")
+    assert report.first_failure == (9501, f"expected {tail[500].value}, b-file has {tail[500].value + 1}")

@@ -6,11 +6,16 @@ import pytest
 
 from figfig import (
     CheckReport,
+    RemainderRow,
+    a_coeff,
     check_bounds,
     check_identities,
     check_partition,
     decade_remainder_means,
+    eval_u_series,
     remainder_table,
+    u_coeff,
+    value_at,
 )
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
 
@@ -144,3 +149,39 @@ def test_decade_means_validations():
         decade_remainder_means("u", 1, -1, 3)
     with pytest.raises(ValueError):
         decade_remainder_means("u", 1, 3, 2)
+
+
+def _two_ladder_row(seq, order, n):
+    """The remainder row as computed with a separate ladder for the next
+    rung: the series sum climbs `order` square roots from n/2, then the
+    rung climbs `order + 1` more from n/2 again."""
+    half = n / 2
+    root, u_series, a_tail = half, 0.0, 0.0
+    for k in range(1, order + 1):
+        root = math.sqrt(root)
+        u_series += float(u_coeff(k)) * root
+        a_tail += float(a_coeff(k)) * root * half
+    rung = half
+    for _ in range(order + 1):
+        rung = math.sqrt(rung)
+    exact = value_at(seq, n)
+    if seq == "a":
+        remainder = (2 * exact - n * n) / 2 - a_tail
+        return RemainderRow(n, order, exact, n * n / 2 + a_tail, remainder, remainder / (half * rung))
+    remainder = value_at("u", n) - u_series
+    series = n + u_series if seq == "b" else u_series
+    return RemainderRow(n, order, exact, series, remainder, remainder / rung)
+
+
+@pytest.mark.parametrize("seq", ["a", "b", "u"])
+def test_one_ladder_remainders_are_bit_identical(seq):
+    ns = [1, 2, 3, 8, 99, 1000, 12_345, 10**6 + 7, 10**9]
+    for order in (1, 2, 3, 7, 20, 63, 64):
+        assert remainder_table(seq, order, ns) == [_two_ladder_row(seq, order, n) for n in ns]
+
+
+def test_remainder_table_reaches_far_indices():
+    row = remainder_table("u", 1, [10**9])[0]
+    assert row.exact == value_at("u", 10**9)
+    assert row.series == eval_u_series(10**9, 1)
+    assert row.remainder == row.exact - row.series

@@ -223,3 +223,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n2 3\n3 7\n"
+
+
+def test_closed_stdout_ends_normally():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "figfig", "gen", "--seq", "a", "--count", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()  # as `| head -2` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == [b"1 1\n", b"2 3\n"]
+    assert err == b""

@@ -1,12 +1,19 @@
 """Generator behaviour against published terms and the brute-force oracle."""
 
+from functools import lru_cache
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from figfig import TripleStream, triples, value_at
+from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
+from figfig.stream import _rows
 
 from oracle import oracle_triples
+
+JUMP_LIMIT = 20_000
+JUMP_ROWS = 5  # rows compared after each jump
 
 # Leading terms as published for A005228, A030124, and A225687.
 A_FIRST = [1, 3, 7, 12, 18, 26, 35, 45, 56, 69]
@@ -128,3 +135,55 @@ def test_counting_window_bracket():
         low = stream.early_a(row.u) - row.u
         high = stream.early_a(row.u + 1) - (row.u + 1)
         assert low < row.n <= high
+
+
+@lru_cache(maxsize=None)
+def oracle_table() -> tuple[tuple[int, int, int, int], ...]:
+    return tuple(oracle_triples(JUMP_LIMIT + JUMP_ROWS))
+
+
+@lru_cache(maxsize=None)
+def streamed_table() -> tuple[tuple[int, int, int, int], ...]:
+    return tuple(TripleStream().take(JUMP_LIMIT + JUMP_ROWS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, JUMP_LIMIT), seq=st.sampled_from("abu"))
+def test_jump_ahead_matches_stream_and_oracle(n, seq):
+    jumped = [tuple(row) for row in islice(_rows(n), JUMP_ROWS)]
+    assert jumped == list(streamed_table()[n - 1 : n - 1 + JUMP_ROWS])
+    assert jumped == list(oracle_table()[n - 1 : n - 1 + JUMP_ROWS])
+    assert value_at(seq, n) == oracle_table()[n - 1]["nabu".index(seq)]
+
+
+def test_jump_ahead_at_every_run_boundary_near_the_start():
+    stream_rows = streamed_table()
+    for n in range(1, 400):
+        assert tuple(next(_rows(n))) == stream_rows[n - 1]
+
+
+@pytest.mark.parametrize("start", [10**9, 10**12])
+def test_laws_hold_far_out(start):
+    rows = list(islice(_rows(start), 51))
+    assert [row.n for row in rows] == list(range(start, start + 51))
+    for row, after in zip(rows, rows[1:]):
+        assert row.b == row.n + row.u
+        assert after.a - row.a == row.b
+        assert after.u - row.u in (0, 1)
+        assert after.b > row.b
+        assert sqrt_window_bound_holds(row.n, row.u)
+        assert sqrt_window_bound_holds(row.n, row.b - row.n)
+        assert 2 * row.a >= row.n * (row.n + 1)
+        assert a_upper_bound_holds(row.n, row.a)
+
+
+def test_far_jump_agrees_with_streaming_from_an_earlier_jump():
+    start = 10**9
+    streamed = list(islice(_rows(start - 3000), 3050))[3000:]
+    assert streamed == list(islice(_rows(start), 50))
+
+
+def test_prefix_length_tracks_u_all_along():
+    stream = TripleStream()
+    for row in islice(stream, 5000):
+        assert row.u + 1 <= len(stream.a_prefix) <= row.u + 2
