@@ -11,6 +11,7 @@ from .bfile import BFileFormatError, BFileRecord, compare_reference, parse_bfile
 from .checks import (
     CheckReport,
     RemainderRow,
+    check_all,
     check_bounds,
     check_identities,
     check_partition,
@@ -41,6 +42,7 @@ __all__ = [
     "Triple",
     "TripleStream",
     "a_coeff",
+    "check_all",
     "check_bounds",
     "check_identities",
     "check_partition",

@@ -1,10 +1,12 @@
 """Streamed verification of the sequence laws, plus remainder diagnostics.
 
-Each check walks the triple stream once, stops at the first violation,
-and reports it instead of raising; a passing report covers the whole
-requested range.  The bound checks compare in exact integer arithmetic
-(squared rearrangements of the square-root bounds) so they cannot be
-fooled by rounding at any index.
+The law checks share one driver that walks the triple stream once and
+hands each row to every selected check still running, so `check_all`
+verifies the partition, the identities and the bounds in a single pass.
+A check stops at its first violation and reports it instead of raising;
+a passing report covers the whole requested range.  The bound checks
+compare in exact integer arithmetic (squared rearrangements of the
+square-root bounds) so they cannot be fooled by rounding at any index.
 
 The remainder table measures how fast the truncated series approaches
 the exact values.  The remainder is divided by the next rung of the
@@ -22,11 +24,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .series import _a_tail, _u_sum, MAX_ORDER
-from .stream import SEQUENCE_IDS, TripleStream, Triple, _rows
+from .stream import SEQUENCE_IDS, Triple, _a_values, _recorded, _rows
 
 __all__ = [
+    "CHECK_NAMES",
     "CheckReport",
     "RemainderRow",
+    "check_all",
     "check_bounds",
     "check_identities",
     "check_partition",
@@ -64,14 +68,6 @@ class RemainderRow:
     scaled: float
 
 
-def _passed(name: str, lo: int, hi: int) -> CheckReport:
-    return CheckReport(name, lo, hi, True, None)
-
-
-def _failed(name: str, lo: int, hi: int, n: int, detail: str) -> CheckReport:
-    return CheckReport(name, lo, hi, False, (n, detail))
-
-
 def sqrt_window_bound_holds(n: int, value: int) -> bool:
     """value < sqrt(2n) + 1/2, decided in integers (needs value >= 1).
 
@@ -88,31 +84,113 @@ def a_upper_bound_holds(n: int, a: int) -> bool:
     return lhs <= 0 or lhs * lhs < 32 * n**3
 
 
+# Each law check and the smallest upto it accepts, in the order check_all
+# and `figfig verify --check all` report them.
+_MIN_UPTO = {"partition": 1, "identities": 2, "bounds": 1}
+CHECK_NAMES = tuple(_MIN_UPTO)
+
+
+def _report(name: str, upto: int, failure: tuple[int, str] | None) -> CheckReport:
+    return CheckReport(name, 1, upto, failure is None, failure)
+
+
+def _run_checks(upto: int, names: Sequence[str]) -> tuple[CheckReport, ...]:
+    """One walk of the triple stream feeding every named check, for n in [1, upto].
+
+    Each check keeps its own state and finishes on its own pass or first
+    failure; the walk ends once all of them have finished, at row upto + 1
+    at the latest.  Reports come back in the order of `names`.  Every
+    range is validated before the first row is read.
+    """
+    for name in names:
+        if upto < _MIN_UPTO[name]:
+            raise ValueError(f"upto must be >= {_MIN_UPTO[name]}")
+    reports: dict[str, CheckReport] = {}
+    partition, identities, bounds = (name in names for name in CHECK_NAMES)
+    # partition: the smallest integer not yet covered, and the a-values
+    # <= upto that have been generated but not yet reached.
+    expect = 1
+    pending_a: deque[int] = deque()
+    # identities: u_1 + ... + u_{n-1} and the previous row's a and b.
+    u_sum = 0
+    previous_a = previous_b = 0
+    # The run bounds a_1..a_{u+1} read so far, for the counting window.
+    prefix: list[int] = []
+    for n, a, b, u in _rows(1, _recorded(_a_values(), prefix)):
+        if partition:
+            # Cover, in order, the pending a-values below b and then b itself.
+            failure = None
+            if a <= upto:
+                pending_a.append(a)
+            while pending_a and pending_a[0] < b:
+                value = pending_a.popleft()
+                if value != expect:
+                    failure = (expect, f"a-value {value} arrived, expected {expect}")
+                    break
+                expect += 1
+                if expect > upto:
+                    break
+            else:
+                if b > expect:
+                    failure = (expect, f"no sequence value covers {expect}")
+                elif b < expect:
+                    failure = (expect, f"b-value {b} repeats covered ground")
+                else:
+                    expect += 1
+            if failure or expect > upto:
+                reports["partition"] = _report("partition", upto, failure)
+                partition = False
+        if identities:
+            # The four laws of check_identities; row upto + 1 is read only
+            # for the difference law at n = upto.
+            failure = None
+            if n > 1 and a - previous_a != previous_b:
+                failure = (
+                    n - 1,
+                    f"a({n}) - a({n - 1}) = {a - previous_a}, expected b({n - 1}) = {previous_b}",
+                )
+            elif n > upto:
+                pass
+            elif b != n + u:
+                failure = (n, f"b = {b} but n + u = {n + u}")
+            elif a != 1 + (n - 1) * n // 2 + u_sum:
+                failure = (n, f"a = {a} but 1 + (n-1)n/2 + sum(u) = {1 + (n - 1) * n // 2 + u_sum}")
+            else:
+                window_lo = prefix[u - 1] - u
+                window_hi = prefix[u] - (u + 1)
+                if not window_lo < n <= window_hi:
+                    failure = (n, f"counting window ({window_lo}, {window_hi}] misses n")
+            if failure or n > upto:
+                reports["identities"] = _report("identities", upto, failure)
+                identities = False
+            u_sum += u
+            previous_a, previous_b = a, b
+        if bounds:
+            # The six bounds of check_bounds, each at every n.
+            failure = None
+            if u < 1:
+                failure = (n, f"u = {u} below 1")
+            elif not sqrt_window_bound_holds(n, u):
+                failure = (n, f"u = {u} not below sqrt(2n) + 1/2")
+            elif b < n + 1:
+                failure = (n, f"b = {b} below n + 1")
+            elif not sqrt_window_bound_holds(n, b - n):
+                failure = (n, f"b = {b} not below n + sqrt(2n) + 1/2")
+            elif 2 * a < n * (n + 1):
+                failure = (n, f"a = {a} below n^2/2 + n/2")
+            elif not a_upper_bound_holds(n, a):
+                failure = (n, f"a = {a} not below n^2/2 + (2^1.5/3) n^1.5 - 1/3")
+            if failure or n == upto:
+                reports["bounds"] = _report("bounds", upto, failure)
+                bounds = False
+        if not (partition or identities or bounds):
+            return tuple(reports[name] for name in names)
+    raise AssertionError("unreachable: the stream is infinite")
+
+
 def check_partition(upto: int) -> CheckReport:
     """Every integer in [1, upto] is hit exactly once by the a and b values."""
-    if upto < 1:
-        raise ValueError("upto must be >= 1")
-    name = "partition"
-    expect = 1  # smallest integer not yet covered
-    pending_a: deque[int] = deque()
-    for row in _rows(1):
-        if row.a <= upto:
-            pending_a.append(row.a)
-        while pending_a and pending_a[0] < row.b:
-            value = pending_a.popleft()
-            if value != expect:
-                return _failed(name, 1, upto, expect, f"a-value {value} arrived, expected {expect}")
-            expect += 1
-            if expect > upto:
-                return _passed(name, 1, upto)
-        if row.b > expect:
-            return _failed(name, 1, upto, expect, f"no sequence value covers {expect}")
-        if row.b < expect:
-            return _failed(name, 1, upto, expect, f"b-value {row.b} repeats covered ground")
-        expect += 1
-        if expect > upto:
-            return _passed(name, 1, upto)
-    raise AssertionError("unreachable: the stream is infinite")
+    return _run_checks(upto, ("partition",))[0]
 
 
 def check_identities(upto: int) -> CheckReport:
@@ -121,57 +199,22 @@ def check_identities(upto: int) -> CheckReport:
     Difference (a_{n+1} - a_n = b_n), shift (b_n = n + u_n), the summed
     closed form a_n = 1 + (n-1)n/2 + sum of u_1..u_{n-1}, and the counting
     window a(u_n) - u_n < n <= a(u_n + 1) - (u_n + 1).  The window reads
-    early a-values straight from the stream's retained slice.
+    early a-values from the leading slice the stream has consumed.
     """
-    if upto < 2:
-        raise ValueError("upto must be >= 2")
-    name = "identities"
-    stream = TripleStream()
-    u_sum = 0  # u_1 + ... + u_{n-1}
-    previous: Triple | None = None
-    for n in range(1, upto + 2):
-        row = stream.next_triple()
-        if previous is not None and row.a - previous.a != previous.b:
-            return _failed(
-                name, 1, upto, previous.n,
-                f"a({n}) - a({previous.n}) = {row.a - previous.a}, expected b({previous.n}) = {previous.b}",
-            )
-        if n <= upto:
-            if row.b != n + row.u:
-                return _failed(name, 1, upto, n, f"b = {row.b} but n + u = {n + row.u}")
-            if row.a != 1 + (n - 1) * n // 2 + u_sum:
-                return _failed(
-                    name, 1, upto, n,
-                    f"a = {row.a} but 1 + (n-1)n/2 + sum(u) = {1 + (n - 1) * n // 2 + u_sum}",
-                )
-            window_lo = stream.early_a(row.u) - row.u
-            window_hi = stream.early_a(row.u + 1) - (row.u + 1)
-            if not window_lo < n <= window_hi:
-                return _failed(name, 1, upto, n, f"counting window ({window_lo}, {window_hi}] misses n")
-        u_sum += row.u
-        previous = row
-    return _passed(name, 1, upto)
+    return _run_checks(upto, ("identities",))[0]
 
 
 def check_bounds(upto: int) -> CheckReport:
     """The six two-sided bounds on u, b, and a, for n in [1, upto]."""
-    if upto < 1:
-        raise ValueError("upto must be >= 1")
-    name = "bounds"
-    for n, row in zip(range(1, upto + 1), _rows(1)):
-        if row.u < 1:
-            return _failed(name, 1, upto, n, f"u = {row.u} below 1")
-        if not sqrt_window_bound_holds(n, row.u):
-            return _failed(name, 1, upto, n, f"u = {row.u} not below sqrt(2n) + 1/2")
-        if row.b < n + 1:
-            return _failed(name, 1, upto, n, f"b = {row.b} below n + 1")
-        if not sqrt_window_bound_holds(n, row.b - n):
-            return _failed(name, 1, upto, n, f"b = {row.b} not below n + sqrt(2n) + 1/2")
-        if 2 * row.a < n * (n + 1):
-            return _failed(name, 1, upto, n, f"a = {row.a} below n^2/2 + n/2")
-        if not a_upper_bound_holds(n, row.a):
-            return _failed(name, 1, upto, n, f"a = {row.a} not below n^2/2 + (2^1.5/3) n^1.5 - 1/3")
-    return _passed(name, 1, upto)
+    return _run_checks(upto, ("bounds",))[0]
+
+
+def check_all(upto: int) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """(partition, identities, bounds) reports from one shared walk of the stream.
+
+    Equal to calling the three checks one by one; upto must be >= 2.
+    """
+    return _run_checks(upto, CHECK_NAMES)
 
 
 def _series_parts(seq: str, order: int, row: Triple) -> tuple[int, float, float, float]:

@@ -4,7 +4,9 @@ Data rows go to standard output (or the --out file where offered); notes
 and error messages go to standard error.  Exit status is 0 for success,
 1 for a failed verification or comparison, 2 for usage or input-format
 problems.  A reader that closes standard output early, as `head` does,
-ends the run normally with status 0 and nothing on standard error.
+ends the run normally with status 0 and nothing on standard error; an
+interrupt (Ctrl-C) ends it with status 130 and one `interrupted` line on
+standard error.
 """
 
 from __future__ import annotations
@@ -16,20 +18,14 @@ import sys
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
-from .bfile import BFileFormatError, compare_reference, parse_bfile
-from .checks import (
-    CheckReport,
-    check_bounds,
-    check_identities,
-    check_partition,
-    remainder_table,
-)
+from .bfile import compare_reference, parse_bfile
+from .checks import CHECK_NAMES, CheckReport, _run_checks, remainder_table
 from .series import MAX_ORDER, a_coeff, eval_a_series, eval_b_series, eval_u_series, u_coeff
 from .stream import _rows
 
 __all__ = ["main", "run_cli"]
 
-_OK, _FAILED, _USAGE = 0, 1, 2
+_OK, _FAILED, _USAGE, _INTERRUPTED = 0, 1, 2, 130
 
 _EVALUATORS = {"a": eval_a_series, "b": eval_b_series, "u": eval_u_series}
 
@@ -173,21 +169,12 @@ def _cmd_remainder(args: argparse.Namespace) -> int:
     return _OK
 
 
-_CHECKS = {
-    "partition": check_partition,
-    "identities": check_identities,
-    "bounds": check_bounds,
-}
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = list(_CHECKS) if args.check == "all" else [args.check]
-    all_passed = True
-    for name in names:
-        report = _CHECKS[name](args.upto)
+    names = CHECK_NAMES if args.check == "all" else (args.check,)
+    reports = _run_checks(args.upto, names)
+    for report in reports:
         print(_report_line(report))
-        all_passed = all_passed and report.passed
-    return _OK if all_passed else _FAILED
+    return _OK if all(report.passed for report in reports) else _FAILED
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -236,9 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     remainder.set_defaults(handler=_cmd_remainder)
 
     verify = sub.add_parser("verify", help="streamed law checks")
-    verify.add_argument(
-        "--check", required=True, choices=("partition", "identities", "bounds", "all")
-    )
+    verify.add_argument("--check", required=True, choices=(*CHECK_NAMES, "all"))
     verify.add_argument("--upto", required=True, type=_positive_int)
     verify.set_defaults(handler=_cmd_verify)
 
@@ -269,15 +254,12 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _OK
-    except BFileFormatError as exc:
+    except (OSError, ValueError) as exc:  # BFileFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return _INTERRUPTED
 
 
 def main() -> None:

@@ -8,16 +8,22 @@ from figfig import (
     CheckReport,
     RemainderRow,
     a_coeff,
+    check_all,
     check_bounds,
     check_identities,
     check_partition,
     decade_remainder_means,
     eval_u_series,
     remainder_table,
+    run_cli,
     u_coeff,
     value_at,
 )
+from figfig import checks
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
+
+CHECK_NAMES = ("partition", "identities", "bounds")
+CHECKS = (check_partition, check_identities, check_bounds)
 
 
 @pytest.mark.parametrize("upto", [1, 2, 14, 10_000])
@@ -185,3 +191,103 @@ def test_remainder_table_reaches_far_indices():
     assert row.exact == value_at("u", 10**9)
     assert row.series == eval_u_series(10**9, 1)
     assert row.remainder == row.exact - row.series
+
+
+# Failure paths: the checks read their rows through figfig.checks._rows, so
+# replacing that name with a corrupting wrapper feeds every check the same
+# faulty stream.  Each case lists the first failure of (partition,
+# identities, bounds) at upto = 2000; None means that check still passes.
+FAULT_UPTO = 2000
+FAULTS = {
+    "repeated_b": (20, {"b": 24}, (
+        (25, "b-value 24 repeats covered ground"),
+        (20, "b = 24 but n + u = 25"),
+        None,
+    )),
+    "skipped_integer": (30, {"b": 38}, (
+        (37, "no sequence value covers 37"),
+        (30, "b = 38 but n + u = 37"),
+        None,
+    )),
+    "a_off_by_one": (40, {"a": 983}, (
+        (982, "no sequence value covers 982"),
+        (39, "a(40) - a(39) = 48, expected b(39) = 47"),
+        None,
+    )),
+    "wrong_u": (50, {"u": 10}, (
+        None,
+        (50, "b = 59 but n + u = 60"),
+        None,
+    )),
+    "b_too_large": (10, {"b": 110}, (
+        (14, "a-value 18 arrived, expected 14"),
+        (10, "b = 110 but n + u = 14"),
+        (10, "b = 110 not below n + sqrt(2n) + 1/2"),
+    )),
+    "a_zero_at_first_row": (1, {"a": 0}, (
+        (1, "a-value 0 arrived, expected 1"),
+        (1, "a = 0 but 1 + (n-1)n/2 + sum(u) = 1"),
+        (1, "a = 0 below n^2/2 + n/2"),
+    )),
+    "a_just_past_upto": (2001, {"a": 2_077_848}, (
+        None,
+        (2000, "a(2001) - a(2000) = 2059, expected b(2000) = 2058"),
+        None,
+    )),
+    "b_just_past_upto": (2001, {"b": 5000}, (None, None, None)),
+}
+
+
+@pytest.fixture(params=sorted(FAULTS))
+def fault(request, monkeypatch):
+    """Corrupt one row of the stream the checks read; return the expected
+    first failures."""
+    index, changes, expected = FAULTS[request.param]
+    real = checks._rows
+
+    def rows(start, lag=None):
+        for row in real(start, lag):
+            yield row._replace(**changes) if row.n == index else row
+
+    monkeypatch.setattr(checks, "_rows", rows)
+    return expected
+
+
+def _report(name, failure):
+    return CheckReport(name, 1, FAULT_UPTO, failure is None, failure)
+
+
+def test_fault_table_corrupts_real_values():
+    for index, changes, _ in FAULTS.values():
+        row = next(checks._rows(index))
+        assert all(getattr(row, key) != value for key, value in changes.items())
+
+
+def test_each_check_reports_its_first_failure(fault):
+    for name, check, failure in zip(CHECK_NAMES, CHECKS, fault):
+        assert check(FAULT_UPTO) == _report(name, failure)
+
+
+def test_fused_checks_fail_independently(fault):
+    assert check_all(FAULT_UPTO) == tuple(
+        _report(name, failure) for name, failure in zip(CHECK_NAMES, fault)
+    )
+
+
+def test_verify_all_prints_every_failure(fault, capsys):
+    code = run_cli(["verify", "--check", "all", "--upto", str(FAULT_UPTO)])
+    out = capsys.readouterr().out
+    assert code == (1 if any(fault) else 0)
+    lines = out.splitlines()
+    assert len(lines) == 3
+    for line, name, failure in zip(lines, CHECK_NAMES, fault):
+        prefix = f"{name} [1, {FAULT_UPTO}]: "
+        if failure is None:
+            assert line == prefix + "PASS"
+        else:
+            assert line == prefix + f"FAIL at n={failure[0]}: {failure[1]}"
+
+
+@pytest.mark.parametrize("upto", [2, 14, 500, 10_000])
+def test_check_all_matches_single_checks(upto):
+    assert check_all(upto) == tuple(check(upto) for check in CHECKS)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from figfig import run_cli
+from figfig import cli, run_cli
 
 
 def run(capsys, *argv):
@@ -163,6 +163,20 @@ def test_verify_identities_needs_two_terms(capsys):
     code, _, err = run(capsys, "verify", "--check", "identities", "--upto", "1")
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_validates_every_check_before_output(capsys):
+    code, out, err = run(capsys, "verify", "--check", "all", "--upto", "1")
+    assert (code, out, err) == (2, "", "error: upto must be >= 2\n")
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_verify", interrupted)
+    code, out, err = run(capsys, "verify", "--check", "all", "--upto", "5")
+    assert (code, out, err) == (130, "", "interrupted\n")
 
 
 def test_compare_passing_file(tmp_path, capsys):

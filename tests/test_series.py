@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -151,3 +152,44 @@ def test_eval_a_head_term_dominates():
 def test_eval_domain_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+# Pins the module docstring's claim: evaluation loses well under 1e-12
+# relative accuracy for arguments up to 1e18.  The reference sums the same
+# truncated series in 60-digit decimal arithmetic, taking the ladder of
+# fractional powers by repeated Decimal square roots.
+ACCURACY_NS = [1, 2, 10] + [10**k for k in range(3, 19)]
+ACCURACY_ORDERS = [1, 2, 3, 8, 64]
+
+
+def _decimal(q: Fraction) -> Decimal:
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _reference_series(n: int, order: int) -> tuple[Decimal, Decimal]:
+    """(u-series, a-series) at index n, truncated after `order` terms."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        half = Decimal(n) / 2
+        root, u_total, a_tail = half, Decimal(0), Decimal(0)
+        for k in range(1, order + 1):
+            root = root.sqrt()
+            u_total += _decimal(u_coeff(k)) * root
+            a_tail += _decimal(a_coeff(k)) * root * half
+        return u_total, half * n + a_tail
+
+
+def _relative_error(value: float, reference: Decimal) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return abs((Decimal(value) - reference) / reference)
+
+
+@pytest.mark.parametrize("order", ACCURACY_ORDERS)
+def test_series_evaluation_is_accurate_to_1e18(order):
+    limit = Decimal("1e-12")
+    for n in ACCURACY_NS:
+        u_reference, a_reference = _reference_series(n, order)
+        assert _relative_error(eval_u_series(n, order), u_reference) < limit, n
+        assert _relative_error(eval_b_series(n, order), n + u_reference) < limit, n
+        assert _relative_error(eval_a_series(n, order), a_reference) < limit, n
