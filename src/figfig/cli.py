@@ -6,7 +6,10 @@ and error messages go to standard error.  Exit status is 0 for success,
 problems.  A reader that closes standard output early, as `head` does,
 ends the run normally with status 0 and nothing on standard error; an
 interrupt (Ctrl-C) ends it with status 130 and one `interrupted` line on
-standard error.
+standard error.  An --out file is replaced atomically: it is written under
+a temporary name in the same directory and renamed onto the target only
+when complete, so a failed or interrupted run leaves any earlier file as
+it was and no partial file behind.
 """
 
 from __future__ import annotations
@@ -14,20 +17,38 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
-from itertools import chain, islice
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .bfile import compare_reference, parse_bfile
 from .checks import CHECK_NAMES, CheckReport, _run_checks, remainder_table
 from .series import MAX_ORDER, a_coeff, eval_a_series, eval_b_series, eval_u_series, u_coeff
-from .stream import _rows
+from .stream import _runs
 
 __all__ = ["main", "run_cli"]
 
 _OK, _FAILED, _USAGE, _INTERRUPTED = 0, 1, 2, 130
 
 _EVALUATORS = {"a": eval_a_series, "b": eval_b_series, "u": eval_u_series}
+
+# `figfig gen`: (seq, format) -> (header, line template over the columns
+# n, a, b, u by position).  The jsonl lines are the bytes json.dumps gives
+# for integer values.
+_GEN_FORMATS = {
+    ("triple", "csv"): ("n,a,b,u\n", "{0},{1},{2},{3}\n"),
+    ("triple", "jsonl"): ("", '{{"n": {0}, "a": {1}, "b": {2}, "u": {3}}}\n'),
+    ("a", "bfile"): ("", "{0} {1}\n"),
+    ("b", "bfile"): ("", "{0} {2}\n"),
+    ("u", "bfile"): ("", "{0} {3}\n"),
+    ("a", "csv"): ("n,a\n", "{0},{1}\n"),
+    ("b", "csv"): ("n,b\n", "{0},{2}\n"),
+    ("u", "csv"): ("n,u\n", "{0},{3}\n"),
+    ("a", "jsonl"): ("", '{{"n": {0}, "a": {1}}}\n'),
+    ("b", "jsonl"): ("", '{{"n": {0}, "b": {2}}}\n'),
+    ("u", "jsonl"): ("", '{{"n": {0}, "u": {3}}}\n'),
+}
 
 
 def _real(x: float) -> str:
@@ -76,14 +97,46 @@ def _decades_arg(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit(lines: Iterable[str], out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks to stdout, or to `out` by atomic replacement.
+
+    The file is written under a temporary name in its own directory and
+    renamed onto `out` only when complete, so an error or an interrupt
+    leaves any earlier `out` as it was and no partial file behind.  As with
+    a plain open(out, "w"), a symlink is written through, an existing file
+    keeps its permission bits and a new one gets 0o666 less the umask; a
+    device or pipe, such as /dev/null, cannot be replaced and is written
+    in place.
+    """
     if out is None:
-        for line in lines:
-            sys.stdout.write(line)
+        sys.stdout.writelines(chunks)
         return
-    with open(out, "w", encoding="utf-8") as sink:
-        for line in lines:
-            sink.write(line)
+    target = os.path.realpath(out)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)  # setting the umask is the only way to read it
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)  # what open() would create
+    if not stat.S_ISREG(mode):
+        with open(out, "w", encoding="utf-8") as sink:
+            sink.writelines(chunks)
+        return
+    import tempfile  # here, not at the top: it imports random and shutil
+
+    directory, name = os.path.split(target)
+    try:
+        fd, temp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+    except OSError as exc:  # name `out`, as open(out, "w") would, not the temporary file
+        raise OSError(exc.errno, exc.strerror, out) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as sink:
+            sink.writelines(chunks)
+        os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _report_line(report: CheckReport) -> str:
@@ -93,31 +146,25 @@ def _report_line(report: CheckReport) -> str:
     return f"{report.name} [{report.lo}, {report.hi}]: FAIL at n={n}: {detail}"
 
 
+def _gen_chunks(template: str, count: int) -> Iterator[str]:
+    """The first `count` rows, one string per window of constant u."""
+    line, end = template.format, count + 1
+    for n, a, first, hi, k in _runs(1):
+        width = min(hi - first, end - n)
+        bs = range(first, first + width)
+        rows = map(line, range(n, n + width), accumulate(bs, initial=a), bs, repeat(k, width))
+        yield "".join(rows)
+        if n + width == end:
+            return
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.seq == "triple" and args.format == "bfile":
+    try:
+        header, template = _GEN_FORMATS[args.seq, args.format]
+    except KeyError:  # the one pair the table leaves out: a triple as a b-file
         print("error: bfile format holds one sequence; use --seq a, b, or u", file=sys.stderr)
         return _USAGE
-    rows = islice(_rows(1), args.count)
-    if args.seq == "triple":
-        if args.format == "csv":
-            lines = chain(
-                ["n,a,b,u\n"], (f"{r.n},{r.a},{r.b},{r.u}\n" for r in rows)
-            )
-        else:
-            lines = (
-                json.dumps({"n": r.n, "a": r.a, "b": r.b, "u": r.u}) + "\n" for r in rows
-            )
-    else:
-        pairs = ((row.n, getattr(row, args.seq)) for row in rows)
-        if args.format == "bfile":
-            lines = (f"{n} {value}\n" for n, value in pairs)
-        elif args.format == "csv":
-            lines = chain(
-                [f"n,{args.seq}\n"], (f"{n},{value}\n" for n, value in pairs)
-            )
-        else:
-            lines = (json.dumps({"n": n, args.seq: value}) + "\n" for n, value in pairs)
-    _emit(lines, args.out)
+    _emit(chain([header], _gen_chunks(template, args.count)), args.out)
     return _OK
 
 

@@ -21,6 +21,13 @@ sum of u_i over i < n, and u is constant on each window, that sum is
 k * (width of window k) over the whole windows below n plus one partial
 window.  Jumping to index n therefore walks only the ~sqrt(2 n) leading
 a-values and precomputes no table.
+
+The walk lives in one generator, `_runs(start)`, which yields a window
+at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
+the indices run from n, u = k throughout, and the next window's a is
+a_n plus the sum of that range.  `_rows(start)` is its plain flattening
+into `Triple` rows, which the stream, the checks and the b-file compare
+read; `figfig gen` formats whole windows straight from `_runs`.
 """
 
 from __future__ import annotations
@@ -62,12 +69,18 @@ def _a_values() -> Iterator[int]:
         first, hi = hi + 1, next(lag)
 
 
-def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
-    """Rows from index `start` (>= 1) on, one run of constant u at a time.
+def _runs(
+    start: int, lag: Iterator[int] | None = None
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Windows of constant u from index `start` (>= 1) on, one per step.
 
+    Each step is (n, a, first, hi, k): the window's first index n, a_n,
+    and its b-values range(first, hi), on which u = k.  The first window
+    is the part of window k from `start` on, so its `first` is b_start.
     First walks whole windows of the a-values from `lag` (a fresh
     _a_values() by default) to find the run k holding `start` and the sum
-    of u below it, about sqrt(2 start) steps; then yields run by run.
+    of u below it, about sqrt(2 start) steps.  The bound of the next
+    window is drawn from `lag` only when that window is asked for.
     """
     lag = _a_values() if lag is None else lag
     k, lo, hi = 1, next(lag), next(lag)
@@ -80,11 +93,18 @@ def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
     a = 1 + (n - 1) * n // 2 + u_sum
     first = n + k  # b_n
     while True:
+        yield n, a, first, hi, k
+        n, a = n + hi - first, a + (first + hi - 1) * (hi - first) // 2
+        k, first, hi = k + 1, hi + 1, next(lag)
+
+
+def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
+    """Rows from index `start` (>= 1) on: the windows of _runs, flattened."""
+    for n, a, first, hi, k in _runs(start, lag):
         for b in range(first, hi):
             yield Triple(n, a, b, k)
             a += b
             n += 1
-        k, first, hi = k + 1, hi + 1, next(lag)
 
 
 def _recorded(values: Iterator[int], into: list[int]) -> Iterator[int]:

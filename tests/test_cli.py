@@ -1,12 +1,32 @@
 """Command line behaviour: output bytes, exit codes, error routing."""
 
+import contextlib
+import io
 import json
+import os
+import stat
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from figfig import cli, run_cli
+
+from oracle import oracle_triples
+
+COLUMNS = ("n", "a", "b", "u")
+GEN_PAIRS = [
+    (seq, fmt)
+    for seq in ("a", "b", "u", "triple")
+    for fmt in ("bfile", "csv", "jsonl")
+    if (seq, fmt) != ("triple", "bfile")
+]
+ORACLE_ROWS = 20_000
+# Runs of constant u cover the indices (a_k - k, a_{k+1} - (k + 1)]: 1, 2-4,
+# 5-8, 9-13, 14-20, ...  So 20 rows end exactly at a run end, 17 inside one.
+RUN_END, MID_RUN = 20, 17
 
 
 def run(capsys, *argv):
@@ -63,6 +83,148 @@ def test_gen_to_file_matches_stdout(tmp_path, capsys):
     stdout_code, stdout_text, _ = run(capsys, "gen", "--seq", "a", "--count", "50")
     assert stdout_code == 0
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+@lru_cache(maxsize=None)
+def oracle_table():
+    return tuple(oracle_triples(ORACLE_ROWS))
+
+
+def expected_gen(seq, fmt, count):
+    """What `figfig gen` must print, built row by row from the oracle."""
+    names = COLUMNS if seq == "triple" else ("n", seq)
+    records = [dict(zip(COLUMNS, row)) for row in oracle_table()[:count]]
+    if fmt == "jsonl":
+        return "".join(json.dumps({name: r[name] for name in names}) + "\n" for r in records)
+    if fmt == "bfile":
+        return "".join(f"{r['n']} {r[seq]}\n" for r in records)
+    if seq == "triple":
+        lines = [f"{r['n']},{r['a']},{r['b']},{r['u']}\n" for r in records]
+    else:
+        lines = [f"{r['n']},{r[seq]}\n" for r in records]
+    return ",".join(names) + "\n" + "".join(lines)
+
+
+def test_run_end_and_mid_run_counts():
+    u = [row[3] for row in oracle_table()]
+    assert u[RUN_END - 1] != u[RUN_END]
+    assert u[MID_RUN - 1] == u[MID_RUN]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, RUN_END, MID_RUN, 5000])
+@pytest.mark.parametrize("seq,fmt", GEN_PAIRS)
+def test_gen_matches_the_oracle_byte_for_byte(capsys, seq, fmt, count):
+    code, out, err = run(capsys, "gen", "--seq", seq, "--count", str(count), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == expected_gen(seq, fmt, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, ORACLE_ROWS), pair=st.sampled_from(["triple csv", "a jsonl"]))
+def test_gen_matches_the_oracle_at_any_count(count, pair):
+    seq, fmt = pair.split()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli(["gen", "--seq", seq, "--count", str(count), "--format", fmt]) == 0
+    assert out.getvalue() == expected_gen(seq, fmt, count)
+
+
+@pytest.mark.parametrize("seq,fmt", GEN_PAIRS)
+def test_gen_out_file_matches_stdout_in_every_format(tmp_path, capsys, seq, fmt):
+    argv = ["gen", "--seq", seq, "--count", "1000", "--format", fmt]
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert target.read_text(encoding="utf-8") == out
+
+
+@pytest.mark.parametrize("earlier", [None, "earlier contents\n"])
+def test_interrupted_gen_leaves_no_partial_out_file(tmp_path, monkeypatch, capsys, earlier):
+    target = tmp_path / "a.txt"
+    if earlier is not None:
+        target.write_text(earlier, encoding="utf-8")
+    real_runs = cli._runs
+
+    def one_run_then_interrupt(start, lag=None):
+        yield next(real_runs(start, lag))
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_runs", one_run_then_interrupt)
+    code, out, err = run(capsys, "gen", "--seq", "a", "--count", "100", "--out", str(target))
+    assert (code, out, err) == (130, "", "interrupted\n")
+    if earlier is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text(encoding="utf-8") == earlier
+
+
+def test_gen_into_a_missing_directory_names_the_out_file(tmp_path, capsys):
+    target = tmp_path / "missing" / "a.txt"
+    code, out, err = run(capsys, "gen", "--seq", "a", "--count", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_replaces_an_existing_out_file(tmp_path, capsys):
+    target = tmp_path / "a.txt"
+    target.write_text("a longer earlier file\n" * 10, encoding="utf-8")
+    assert run(capsys, "gen", "--seq", "a", "--count", "3", "--out", str(target))[0] == 0
+    assert target.read_text(encoding="utf-8") == "1 1\n2 3\n3 7\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="permission bits are POSIX")
+@pytest.mark.parametrize(
+    "earlier,umask,mode",
+    [(None, 0o022, 0o644), (None, 0o077, 0o600), (None, 0o002, 0o664), (0o600, 0o022, 0o600)],
+)
+def test_out_file_mode_is_that_of_a_plain_open(tmp_path, capsys, earlier, umask, mode):
+    target = tmp_path / "a.txt"
+    if earlier is not None:
+        target.write_text("earlier\n", encoding="utf-8")
+        target.chmod(earlier)
+    previous = os.umask(umask)
+    try:
+        code = run(capsys, "gen", "--seq", "a", "--count", "3", "--out", str(target))[0]
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+
+
+@pytest.mark.skipif(os.name != "posix", reason="symlinks and pipes are POSIX")
+def test_out_writes_through_a_symlink(tmp_path, capsys):
+    real = tmp_path / "real.txt"
+    real.write_text("earlier\n", encoding="utf-8")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert run(capsys, "gen", "--seq", "a", "--count", "3", "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "1 1\n2 3\n3 7\n"
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="symlinks and pipes are POSIX")
+def test_out_to_a_pipe_writes_into_it(tmp_path, capsys):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = subprocess.Popen(
+        [sys.executable, "-c", "import sys; print(open(sys.argv[1]).read(), end='')", str(pipe)],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        code = run(capsys, "gen", "--seq", "a", "--count", "3", "--out", str(pipe))[0]
+        received, _ = reader.communicate(timeout=60)
+    finally:
+        reader.kill()
+        reader.wait()
+    assert (code, received) == (0, "1 1\n2 3\n3 7\n")
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [pipe]
 
 
 def test_coeffs_default_series(capsys):

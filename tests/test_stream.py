@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from figfig import TripleStream, triples, value_at
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
-from figfig.stream import _rows
+from figfig.stream import _rows, _runs
 
 from oracle import oracle_triples
 
 JUMP_LIMIT = 20_000
 JUMP_ROWS = 5  # rows compared after each jump
+RUN_STEPS = 3  # windows of _runs compared after each start
+RUN_ROWS = 1000  # more than RUN_STEPS windows hold near JUMP_LIMIT
 
 # Leading terms as published for A005228, A030124, and A225687.
 A_FIRST = [1, 3, 7, 12, 18, 26, 35, 45, 56, 69]
@@ -139,7 +141,7 @@ def test_counting_window_bracket():
 
 @lru_cache(maxsize=None)
 def oracle_table() -> tuple[tuple[int, int, int, int], ...]:
-    return tuple(oracle_triples(JUMP_LIMIT + JUMP_ROWS))
+    return tuple(oracle_triples(JUMP_LIMIT + RUN_ROWS))
 
 
 @lru_cache(maxsize=None)
@@ -160,6 +162,38 @@ def test_jump_ahead_at_every_run_boundary_near_the_start():
     stream_rows = streamed_table()
     for n in range(1, 400):
         assert tuple(next(_rows(n))) == stream_rows[n - 1]
+
+
+def check_runs_from(start: int) -> None:
+    """The first RUN_STEPS windows of _runs(start) against the oracle."""
+    table = oracle_table()
+    runs = list(islice(_runs(start), RUN_STEPS))
+    n, a, first, _, k = runs[0]
+    assert (n, a, first, k) == table[start - 1]  # begins at b_start
+    for (n, a, first, hi, k), after in zip(runs, runs[1:]):
+        width = hi - first
+        next_n, next_a, next_first, _, next_k = after
+        assert next_n == n + width
+        assert next_a == a + (first + hi - 1) * width // 2
+        assert (next_first, next_k) == (hi + 1, k + 1)
+    rows = []
+    for n, a, first, hi, k in runs:
+        assert hi == table[k][1]  # the run ends below a_{k+1}
+        for b in range(first, hi):
+            rows.append((n, a, b, k))
+            n, a = n + 1, a + b
+    assert rows == list(table[start - 1 : start - 1 + len(rows)])
+
+
+def test_runs_flatten_to_the_oracle_rows_near_the_start():
+    for start in range(1, 201):
+        check_runs_from(start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(1, JUMP_LIMIT))
+def test_runs_flatten_to_the_oracle_rows(start):
+    check_runs_from(start)
 
 
 @pytest.mark.parametrize("start", [10**9, 10**12])
