@@ -3,15 +3,27 @@
 A b-file is plain text with one "index value" pair per line; blank lines
 and '#' comment lines are allowed and carry no data.  Indices must step
 by exactly 1 from the first record.
+
+The read-back is bulk work.  `parse_bfile` takes the source in chunks of
+at most _CHUNK_LINES lines, so its working memory beyond the records is
+bounded by one chunk, and converts a chunk of plain pairs with a few
+whole-chunk calls; any other chunk goes through the line-by-line parser,
+which gives the same records and the same errors.  `compare_reference`
+checks the records one window of constant u at a time against the
+generator's column for that window, and looks at single values only in
+a window that differs.  `write_bfile` writes one block of lines per
+chunk.
 """
 
 from __future__ import annotations
 
 import io
+from itertools import accumulate, count, islice, repeat, starmap
+from operator import eq, itemgetter
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .checks import CheckReport
-from .stream import SEQUENCE_IDS, _rows
+from .stream import _check_seq, _runs
 
 __all__ = [
     "BFileFormatError",
@@ -20,6 +32,8 @@ __all__ = [
     "parse_bfile",
     "write_bfile",
 ]
+
+_CHUNK_LINES = 1024
 
 
 class BFileFormatError(ValueError):
@@ -36,11 +50,51 @@ def parse_bfile(source: str | IO[str] | Iterable[str]) -> list[BFileRecord]:
 
     Raises BFileFormatError naming the line for malformed lines, and
     naming the gap for indices that do not step by 1.
+
+    The source is read _CHUNK_LINES lines at a time.  A chunk whose lines
+    all hold exactly two tokens that `int` accepts, with indices that
+    continue the records by steps of 1 (from at least 1), is converted in
+    bulk.  Such a line is never blank or a comment, since a token that
+    starts with '#' fails `int`, so the line-by-line parser would give the
+    same records for it.  Any other chunk is parsed line by line from its
+    first line, which raises the first error with its line number.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
+    lines = iter(source)
     records: list[BFileRecord] = []
-    for lineno, raw in enumerate(source, start=1):
+    lineno = 1
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        if not _extend_plain(records, chunk):
+            _parse_lines(records, chunk, lineno)
+        lineno += len(chunk)
+    return records
+
+
+def _extend_plain(records: list[BFileRecord], chunk: list[str]) -> bool:
+    """Append the chunk's records if it is all plain, contiguous pairs.
+
+    Returns False, with `records` untouched, for any other chunk.
+    """
+    if set(map(len, map(str.split, chunk))) != {2}:
+        return False
+    # "\n" keeps tokens of adjacent lines apart when a line has no newline.
+    tokens = "\n".join(chunk).split()
+    try:
+        indices = list(map(int, tokens[0::2]))
+        values = list(map(int, tokens[1::2]))
+    except ValueError:
+        return False
+    wanted = records[-1].index + 1 if records else indices[0]
+    if wanted < 1 or indices != list(range(wanted, wanted + len(indices))):
+        return False
+    records.extend(map(tuple.__new__, repeat(BFileRecord), zip(indices, values)))
+    return True
+
+
+def _parse_lines(records: list[BFileRecord], lines: Iterable[str], lineno: int) -> None:
+    """Append the records of `lines`, the first of which is line `lineno`."""
+    for lineno, raw in enumerate(lines, start=lineno):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -64,10 +118,15 @@ def parse_bfile(source: str | IO[str] | Iterable[str]) -> list[BFileRecord]:
                     f"line {lineno}: index {index} does not advance past {records[-1].index}"
                 )
         records.append(BFileRecord(index, value))
-    return records
 
 
 def _check_contiguous(records: Sequence[BFileRecord]) -> None:
+    if not records or (
+        records[0].index >= 1
+        and all(map(eq, map(itemgetter(0), records), count(records[0].index)))
+    ):
+        return
+    # Not contiguous from at least 1: walk the records to name the first fault.
     for position, record in enumerate(records):
         if record.index < 1:
             raise ValueError(f"record index must be >= 1, got {record.index}")
@@ -76,27 +135,50 @@ def _check_contiguous(records: Sequence[BFileRecord]) -> None:
 
 
 def write_bfile(records: Sequence[BFileRecord], sink: IO[str]) -> None:
-    """Emit records as b-file lines; inverse of parse_bfile byte for byte."""
+    """Emit records as b-file lines; inverse of parse_bfile byte for byte.
+
+    Writes one block of up to _CHUNK_LINES lines per `sink.write` call.
+    """
     _check_contiguous(records)
-    for index, value in records:
-        sink.write(f"{index} {value}\n")
+    pending = iter(records)
+    while block := "".join(starmap("{} {}\n".format, islice(pending, _CHUNK_LINES))):
+        sink.write(block)
 
 
 def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
-    """Jump to the first record's index, stream the generator over the
-    record range from there, and report the first mismatch."""
-    if seq not in SEQUENCE_IDS:
-        raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
+    """Jump to the first record's index, walk the generator's windows of
+    constant u over the record range from there, and report the first
+    mismatch.
+
+    Each window's record values are compared as one list with the
+    window's column (b: a range, u: a constant, a: running sums of the
+    b-values from a_n); only a window that differs is scanned value by
+    value for its first mismatch.
+    """
+    _check_seq(seq)
     if not records:
         raise ValueError("no records to compare")
     _check_contiguous(records)
     lo, hi = records[0].index, records[-1].index
     name = f"compare:{seq}"
-    for record, row in zip(records, _rows(lo)):
-        value = getattr(row, seq)
-        if value != record.value:
-            return CheckReport(
-                name, lo, hi, False,
-                (record.index, f"expected {value}, b-file has {record.value}"),
-            )
-    return CheckReport(name, lo, hi, True, None)
+    found = map(itemgetter(1), records)
+    left = len(records)
+    for n, a, first, end, k in _runs(lo):
+        width = min(end - first, left)
+        if seq == "b":
+            expected = list(range(first, first + width))
+        elif seq == "u":
+            expected = [k] * width
+        else:
+            expected = list(islice(accumulate(range(first, end), initial=a), width))
+        got = list(islice(found, width))
+        if got != expected:
+            for index, want, have in zip(count(n), expected, got):
+                if want != have:
+                    return CheckReport(
+                        name, lo, hi, False,
+                        (index, f"expected {want}, b-file has {have}"),
+                    )
+        left -= width
+        if not left:
+            return CheckReport(name, lo, hi, True, None)

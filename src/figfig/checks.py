@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .series import _a_tail, _u_sum, MAX_ORDER
-from .stream import SEQUENCE_IDS, Triple, _a_values, _recorded, _rows
+from .stream import Triple, _a_values, _check_seq, _recorded, _rows
 
 __all__ = [
     "CHECK_NAMES",
@@ -248,8 +248,7 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
     ns must be non-empty and strictly increasing; order is the truncation
     depth whose next rung scales the remainder.
     """
-    if seq not in SEQUENCE_IDS:
-        raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
+    _check_seq(seq)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"series order must be in 1..{MAX_ORDER}")
     if not ns:
@@ -271,8 +270,7 @@ def decade_remainder_means(
     jump-ahead at 10^first_decade; the means drift toward the next
     coefficient as the decades climb.
     """
-    if seq not in SEQUENCE_IDS:
-        raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
+    _check_seq(seq)
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"series order must be in 1..{MAX_ORDER}")
     if first_decade < 0 or last_decade < first_decade:

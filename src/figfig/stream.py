@@ -26,8 +26,8 @@ The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
 the indices run from n, u = k throughout, and the next window's a is
 a_n plus the sum of that range.  `_rows(start)` is its plain flattening
-into `Triple` rows, which the stream, the checks and the b-file compare
-read; `figfig gen` formats whole windows straight from `_runs`.
+into `Triple` rows, which the stream and the checks read; `figfig gen`
+and the b-file compare work on whole windows straight from `_runs`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ from typing import Iterator, NamedTuple
 __all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "triples", "value_at"]
 
 SEQUENCE_IDS = ("a", "b", "u")
+
+
+def _check_seq(seq: str) -> None:
+    """Raise ValueError unless `seq` is one of SEQUENCE_IDS."""
+    if seq not in SEQUENCE_IDS:
+        raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
 
 
 class Triple(NamedTuple):
@@ -166,8 +172,7 @@ def triples() -> Iterator[Triple]:
 
 def value_at(seq: str, n: int) -> int:
     """The n-th term of sequence "a", "b", or "u", by O(sqrt n) jump-ahead."""
-    if seq not in SEQUENCE_IDS:
-        raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
+    _check_seq(seq)
     if n < 1:
         raise ValueError("index must be >= 1")
     return getattr(next(_rows(n)), seq)

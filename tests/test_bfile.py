@@ -2,11 +2,20 @@
 
 import io
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from figfig import BFileFormatError, BFileRecord, compare_reference, parse_bfile, write_bfile
+from figfig import (
+    BFileFormatError,
+    BFileRecord,
+    CheckReport,
+    bfile,
+    compare_reference,
+    parse_bfile,
+    write_bfile,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -146,3 +155,246 @@ def test_compare_tail_slice_of_reference_file():
     corrupted = tail[:500] + [BFileRecord(9501, tail[500].value + 1)] + tail[501:]
     report = compare_reference(corrupted, "a")
     assert report.first_failure == (9501, f"expected {tail[500].value}, b-file has {tail[500].value + 1}")
+
+
+# --- The bulk parser against the line-by-line parser --------------------------
+
+
+def reference_parse(source):
+    """The line-by-line parser, kept as the reference for parse_bfile."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    records = []
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            index, value = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise BFileFormatError(
+                f"line {lineno}: expected 'index value', got {line!r}"
+            ) from None
+        if index < 1:
+            raise BFileFormatError(f"line {lineno}: index must be >= 1, got {index}")
+        if records:
+            wanted = records[-1].index + 1
+            if index > wanted:
+                raise BFileFormatError(f"line {lineno}: gap at index {wanted}")
+            if index < wanted:
+                raise BFileFormatError(
+                    f"line {lineno}: index {index} does not advance past {records[-1].index}"
+                )
+        records.append(BFileRecord(index, value))
+    return records
+
+
+def outcome(parse, source):
+    """The records, or the error message, that `parse` gives for `source`."""
+    try:
+        records = parse(source)
+    except BFileFormatError as error:
+        return "error", str(error)
+    assert type(records) is list
+    assert all(type(record) is BFileRecord for record in records)
+    return "records", records
+
+
+def assert_parses_like_reference(text):
+    for source in (text, text.splitlines(), text.splitlines(keepends=True)):
+        assert outcome(parse_bfile, source) == outcome(reference_parse, source)
+
+
+def token(n, style):
+    """A spelling of n that int() reads back as n."""
+    if style == "plus" and n >= 0:
+        return f"+{n}"
+    if style == "zeros":
+        return f"-00{-n}" if n < 0 else f"00{n}"
+    if style == "underscore" and abs(n) >= 10:
+        digits = str(n)
+        return f"{digits[:-1]}_{digits[-1]}"
+    if style == "minus_zero" and n == 0:
+        return "-0"
+    return str(n)
+
+
+SPACES = st.sampled_from([" ", "  ", "\t", "\x0c", "\xa0", "\u2003", " \t "])
+EDGES = st.sampled_from(["", " ", "\t", "  \x0c"])
+ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n"])
+STYLES = st.sampled_from(["plain", "plain", "plain", "plus", "zeros", "underscore", "minus_zero"])
+NOISE = st.sampled_from(
+    ["# comment", "#", "#5 5", "  # 1 2", "", "   ", "\t"]  # carry no data
+    + ["x y", "1", "1 2 3", "1 2.5", "7 x", "x 7", "1,2", "0x1 1"]  # malformed
+)
+# What follows the previous record: the next index, or an index fault.
+STEPS = st.sampled_from(["next"] * 12 + ["gap", "repeat", "back", "zero", "negative"])
+
+
+@st.composite
+def bfile_texts(draw):
+    index = draw(st.sampled_from([1, 1, 2, 9, 99, 10**12]))
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(NOISE)
+        else:
+            step = draw(STEPS)
+            shown = {
+                "next": index, "gap": index + 2, "repeat": index - 1, "back": index - 3,
+                "zero": 0, "negative": -index,
+            }[step]
+            if step == "next":
+                index += 1
+            value = draw(st.integers(-(10**20), 10**20) | st.integers(-3, index + 3))
+            line = (
+                token(shown, draw(STYLES)) + draw(SPACES) + token(value, draw(STYLES))
+            )
+        lines.append(draw(EDGES) + line + draw(EDGES) + draw(ENDINGS))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=bfile_texts(), chunk=st.sampled_from([1, 2, 3, 5, 8]))
+# Lines without a newline, whose tokens must not run together.
+@example(text="1 5\n2 2", chunk=2)
+def test_parse_matches_the_line_parser_across_chunks(text, chunk):
+    with mock.patch.object(bfile, "_CHUNK_LINES", chunk):
+        assert_parses_like_reference(text)
+
+
+def plain_lines(count, start=1):
+    return [f"{n} {3 * n - 7}\n" for n in range(start, start + count)]
+
+
+# One line of a plain file replaced, at the last line of the first chunk or
+# the first line of the second; the file spans three chunks.
+@pytest.mark.parametrize("line", [bfile._CHUNK_LINES, bfile._CHUNK_LINES + 1])
+@pytest.mark.parametrize(
+    "replace",
+    [
+        lambda n: "# comment\n",
+        lambda n: "\n",
+        lambda n: f"#{n} {n}\n",
+        lambda n: f"{n} x\n",
+        lambda n: f"{n}\n",
+        lambda n: f"{n} 1 2\n",
+        lambda n: f"{n + 1} 5\n",
+        lambda n: f"{n - 1} 5\n",
+        lambda n: f"{n - 2} 5\n",
+        lambda n: "0 5\n",
+        lambda n: f" +{n}\t0{n}\r\n",
+    ],
+)
+def test_parse_faults_at_a_chunk_boundary(line, replace):
+    lines = plain_lines(2 * bfile._CHUNK_LINES + 5)
+    lines[line - 1] = replace(line)
+    assert_parses_like_reference("".join(lines))
+
+
+def test_parse_bad_value_in_a_plain_chunk_names_its_line():
+    lines = plain_lines(bfile._CHUNK_LINES + 10)
+    lines[bfile._CHUNK_LINES + 3] = f"{bfile._CHUNK_LINES + 4} 12z\n"
+    with pytest.raises(BFileFormatError) as raised:
+        parse_bfile("".join(lines))
+    assert str(raised.value) == f"line {bfile._CHUNK_LINES + 4}: expected 'index value', got '{bfile._CHUNK_LINES + 4} 12z'"
+    # The bulk step leaves no partial records behind for that chunk.
+    records = [BFileRecord(1, 5)]
+    assert not bfile._extend_plain(records, ["2 7\n", "3 12z\n", "4 9\n"])
+    assert records == [BFileRecord(1, 5)]
+
+
+def test_parse_with_comments_gives_each_record_once():
+    lines = plain_lines(3 * bfile._CHUNK_LINES)
+    lines[bfile._CHUNK_LINES + 7] = "# comment " + lines[bfile._CHUNK_LINES + 7]
+    lines.insert(bfile._CHUNK_LINES + 8, lines[bfile._CHUNK_LINES + 7][len("# comment "):])
+    records = parse_bfile("".join(lines))
+    assert [r.index for r in records] == list(range(1, 3 * bfile._CHUNK_LINES + 1))
+    assert records == reference_parse("".join(lines))
+
+
+def test_write_makes_one_call_per_block():
+    records = [BFileRecord(n, -n) for n in range(5, 5 + 2 * bfile._CHUNK_LINES + 1)]
+    sink = mock.Mock()
+    write_bfile(tuple(records), sink)
+    blocks = [call.args[0] for call in sink.write.call_args_list]
+    assert len(blocks) == 3
+    assert "".join(blocks) == "".join(f"{index} {value}\n" for index, value in records)
+
+
+# --- compare_reference, one window of constant u at a time ---------------------
+
+
+@pytest.fixture(scope="module")
+def reference_columns():
+    columns = {}
+    for seq, filename in (("a", "b005228.txt"), ("b", "b030124.txt"), ("u", "b225687.txt")):
+        with open(DATA / filename, encoding="utf-8") as source:
+            columns[seq] = [record.value for record in parse_bfile(source)]
+    return columns
+
+
+# u = 42 on the window 1038..1086, 43 on 1087..1136 and 44 on 1137..1187,
+# so LO and HI sit mid-window and the range spans window starts, middles
+# and ends.
+LO, HI = 1050, 1160
+FAILURE_POINTS = {
+    "lo": LO,
+    "window start": 1087,
+    "mid-window": 1110,
+    "window end": 1136,
+    "hi": HI,
+}
+
+
+def test_windows_around_the_failure_points(reference_columns):
+    u = reference_columns["u"]
+    assert u[1037 - 1] == 41 and u[1038 - 1] == u[1086 - 1] == 42
+    assert u[1087 - 1] == u[1136 - 1] == 43 and u[1137 - 1] == u[1187 - 1] == 44
+
+
+@pytest.mark.parametrize("seq", ["a", "b", "u"])
+@pytest.mark.parametrize("where", list(FAILURE_POINTS))
+def test_compare_reports_the_first_mismatch(reference_columns, seq, where):
+    column = reference_columns[seq]
+    records = [BFileRecord(n, column[n - 1]) for n in range(LO, HI + 1)]
+    at = FAILURE_POINTS[where]
+    records[at - LO] = BFileRecord(at, column[at - 1] + 1)
+    if at < HI:
+        records[HI - LO] = BFileRecord(HI, column[HI - 1] - 1)  # a later mismatch
+    report = compare_reference(tuple(records), seq)
+    assert report == CheckReport(
+        f"compare:{seq}", LO, HI, False,
+        (at, f"expected {column[at - 1]}, b-file has {column[at - 1] + 1}"),
+    )
+
+
+@pytest.mark.parametrize("seq", ["a", "b", "u"])
+def test_compare_passes_from_mid_window(reference_columns, seq):
+    column = reference_columns[seq]
+    records = tuple(BFileRecord(n, column[n - 1]) for n in range(LO, HI + 1))
+    assert compare_reference(records, seq) == CheckReport(f"compare:{seq}", LO, HI, True, None)
+
+
+@pytest.mark.parametrize(
+    "indices,message",
+    [
+        ([1, 3], "records not contiguous at index 3"),
+        ([3, 2], "records not contiguous at index 2"),
+        ([2, 3, 5, 0], "records not contiguous at index 5"),
+        ([0, 1], "record index must be >= 1, got 0"),
+        ([5, 0], "record index must be >= 1, got 0"),
+        ([-4, -3], "record index must be >= 1, got -4"),
+    ],
+)
+def test_non_contiguous_records_are_named(indices, message):
+    records = [BFileRecord(index, 1) for index in indices]
+    for call in (lambda: compare_reference(records, "a"), lambda: write_bfile(records, io.StringIO())):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message

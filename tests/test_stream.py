@@ -6,7 +6,14 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from figfig import TripleStream, triples, value_at
+from figfig import (
+    TripleStream,
+    compare_reference,
+    decade_remainder_means,
+    remainder_table,
+    triples,
+    value_at,
+)
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
 from figfig.stream import _rows, _runs
 
@@ -118,6 +125,21 @@ def test_prefix_stays_sublinear():
     for _ in range(20_000):
         row = stream.next_triple()
     assert len(stream.a_prefix) <= row.u + 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seq: value_at(seq, 5),
+        lambda seq: compare_reference([(1, 1)], seq),
+        lambda seq: remainder_table(seq, 1, [10]),
+        lambda seq: decade_remainder_means(seq, 1, 1, 2),
+    ],
+)
+def test_unknown_sequence_id_message(call):
+    with pytest.raises(ValueError) as raised:
+        call("c")
+    assert str(raised.value) == "unknown sequence id 'c', expected one of ('a', 'b', 'u')"
 
 
 def test_early_a_accessor():
