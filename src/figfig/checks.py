@@ -1,12 +1,17 @@
 """Streamed verification of the sequence laws, plus remainder diagnostics.
 
-The law checks share one driver that walks the triple stream once and
-hands each row to every selected check still running, so `check_all`
-verifies the partition, the identities and the bounds in a single pass.
-A check stops at its first violation and reports it instead of raising;
-a passing report covers the whole requested range.  The bound checks
-compare in exact integer arithmetic (squared rearrangements of the
-square-root bounds) so they cannot be fooled by rounding at any index.
+The law checks share one driver that walks the stream once, a window of
+constant u at a time, and hands each window to every selected check
+still running, so `check_all` verifies the partition, the identities and
+the bounds in a single pass.  A check tests each law once per window,
+at the window's ends, where that is proved to cover every index in it;
+it walks a window index by index, with the same per-index tests, where
+such a test fails or does not apply.  So a failure names the same first
+index and detail as an index-by-index walk would.  A check stops at its
+first violation and reports it instead of raising; a passing report
+covers the whole requested range.  The bound checks compare in exact
+integer arithmetic (squared rearrangements of the square-root bounds) so
+they cannot be fooled by rounding at any index.
 
 The remainder table measures how fast the truncated series approaches
 the exact values.  The remainder is divided by the next rung of the
@@ -23,8 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .series import _a_tail, _u_sum, MAX_ORDER
-from .stream import Triple, _a_values, _check_seq, _recorded, _rows
+from .series import _a_tail, _check_order, _u_sum
+from .stream import Triple, _a_values, _check_seq, _recorded, _rows, _runs
 
 __all__ = [
     "CHECK_NAMES",
@@ -84,106 +89,228 @@ def a_upper_bound_holds(n: int, a: int) -> bool:
     return lhs <= 0 or lhs * lhs < 32 * n**3
 
 
-# Each law check and the smallest upto it accepts, in the order check_all
-# and `figfig verify --check all` report them.
-_MIN_UPTO = {"partition": 1, "identities": 2, "bounds": 1}
-CHECK_NAMES = tuple(_MIN_UPTO)
+def _walk(check, n: int, a: int, first: int, hi: int, k: int) -> bool:
+    """Feed one window's rows to check.row in order: the exact per-row path."""
+    for b in range(first, hi):
+        if check.row(n, a, b, k):
+            return True
+        a += b
+        n += 1
+    return False
 
 
-def _report(name: str, upto: int, failure: tuple[int, str] | None) -> CheckReport:
-    return CheckReport(name, 1, upto, failure is None, failure)
+class _Partition:
+    """Every integer in [1, upto] is covered once, in order."""
+
+    min_upto = 1
+
+    def __init__(self, upto: int, prefix: list[int]) -> None:
+        self.upto = upto
+        self.failure: tuple[int, str] | None = None
+        # The smallest integer not yet covered, and the a-values <= upto
+        # that have been generated but not yet reached.
+        self.expect = 1
+        self.pending: deque[int] = deque()
+
+    def window(self, n: int, a: int, first: int, hi: int, k: int) -> bool:
+        pending, upto = self.pending, self.upto
+        if not (
+            hi <= a
+            and pending
+            and pending[0] == self.expect == first - 1
+            and (len(pending) == 1 or pending[1] >= hi)
+        ):
+            return _walk(self, n, a, first, hi, k)
+        pending.popleft()
+        self.expect = hi
+        for b in range(first, hi):
+            if a > upto:
+                break
+            pending.append(a)
+            a += b
+        return hi > upto
+
+    def row(self, n: int, a: int, b: int, u: int) -> bool:
+        # Cover, in order, the pending a-values below b and then b itself.
+        upto, pending, expect = self.upto, self.pending, self.expect
+        failure = None
+        if a <= upto:
+            pending.append(a)
+        while pending and pending[0] < b:
+            value = pending.popleft()
+            if value != expect:
+                failure = (expect, f"a-value {value} arrived, expected {expect}")
+                break
+            expect += 1
+            if expect > upto:
+                break
+        else:
+            if b > expect:
+                failure = (expect, f"no sequence value covers {expect}")
+            elif b < expect:
+                failure = (expect, f"b-value {b} repeats covered ground")
+            else:
+                expect += 1
+        self.expect, self.failure = expect, failure
+        return failure is not None or expect > upto
+
+
+class _Identities:
+    """The four laws of check_identities."""
+
+    min_upto = 2
+
+    def __init__(self, upto: int, prefix: list[int]) -> None:
+        self.upto = upto
+        self.failure: tuple[int, str] | None = None
+        # The run bounds a_1..a_{k+1} read so far, for the counting window.
+        self.prefix = prefix
+        # u_1 + ... + u_{n-1} and the previous row's a and b.
+        self.u_sum = 0
+        self.previous_a = self.previous_b = 0
+
+    def window(self, n: int, a: int, first: int, hi: int, k: int) -> bool:
+        upto, prefix = self.upto, self.prefix
+        last = n + hi - first - 1
+        if (n > 1 and a - self.previous_a != self.previous_b) or (
+            n <= upto
+            and not (
+                first == n + k
+                and a == 1 + (n - 1) * n // 2 + self.u_sum
+                and prefix[k - 1] - k < n
+                and min(last, upto) <= prefix[k] - (k + 1)
+            )
+        ):
+            return _walk(self, n, a, first, hi, k)
+        if last > upto:
+            return True
+        self.u_sum += k * (hi - first)
+        self.previous_a = a + (first + hi - 2) * (hi - first - 1) // 2
+        self.previous_b = hi - 1
+        return False
+
+    def row(self, n: int, a: int, b: int, u: int) -> bool:
+        # Row upto + 1 is read only for the difference law at n = upto.
+        upto = self.upto
+        failure = None
+        if n > 1 and a - self.previous_a != self.previous_b:
+            failure = (
+                n - 1,
+                f"a({n}) - a({n - 1}) = {a - self.previous_a}, expected b({n - 1}) = {self.previous_b}",
+            )
+        elif n > upto:
+            pass
+        elif b != n + u:
+            failure = (n, f"b = {b} but n + u = {n + u}")
+        elif a != 1 + (n - 1) * n // 2 + self.u_sum:
+            failure = (n, f"a = {a} but 1 + (n-1)n/2 + sum(u) = {1 + (n - 1) * n // 2 + self.u_sum}")
+        else:
+            window_lo = self.prefix[u - 1] - u
+            window_hi = self.prefix[u] - (u + 1)
+            if not window_lo < n <= window_hi:
+                failure = (n, f"counting window ({window_lo}, {window_hi}] misses n")
+        self.failure = failure
+        self.u_sum += u
+        self.previous_a, self.previous_b = a, b
+        return failure is not None or n > upto
+
+
+class _Bounds:
+    """The six bounds of check_bounds."""
+
+    min_upto = 1
+
+    def __init__(self, upto: int, prefix: list[int]) -> None:
+        self.upto = upto
+        self.failure: tuple[int, str] | None = None
+
+    def window(self, n: int, a: int, first: int, hi: int, k: int) -> bool:
+        # The first row decides the whole window (see _run_checks).
+        return self.row(n, a, first, k) or n + hi - first > self.upto
+
+    def row(self, n: int, a: int, b: int, u: int) -> bool:
+        failure = None
+        if u < 1:
+            failure = (n, f"u = {u} below 1")
+        elif not sqrt_window_bound_holds(n, u):
+            failure = (n, f"u = {u} not below sqrt(2n) + 1/2")
+        elif b < n + 1:
+            failure = (n, f"b = {b} below n + 1")
+        elif not sqrt_window_bound_holds(n, b - n):
+            failure = (n, f"b = {b} not below n + sqrt(2n) + 1/2")
+        elif 2 * a < n * (n + 1):
+            failure = (n, f"a = {a} below n^2/2 + n/2")
+        elif not a_upper_bound_holds(n, a):
+            failure = (n, f"a = {a} not below n^2/2 + (2^1.5/3) n^1.5 - 1/3")
+        self.failure = failure
+        return failure is not None or n == self.upto
+
+
+# Each law check, in the order check_all and `figfig verify --check all`
+# report them.
+_CHECKS = {"partition": _Partition, "identities": _Identities, "bounds": _Bounds}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 def _run_checks(upto: int, names: Sequence[str]) -> tuple[CheckReport, ...]:
-    """One walk of the triple stream feeding every named check, for n in [1, upto].
+    """One walk of the windows of constant u feeding every named check, for n in [1, upto].
 
-    Each check keeps its own state and finishes on its own pass or first
-    failure; the walk ends once all of them have finished, at row upto + 1
-    at the latest.  Reports come back in the order of `names`.  Every
-    range is validated before the first row is read.
+    A window (n, a, first, hi, k) of `_runs` holds the rows n, ..., n + w - 1
+    (w = hi - first) with b = first, ..., hi - 1, u = k throughout, and each
+    row's a the previous row's a plus its b.  Each check tests a window as
+    a whole where a few exact tests at its ends prove its laws on every row
+    of it (below); otherwise, and wherever such a test fails, it walks the
+    window row by row with its per-row code (`row`), so a failure names the
+    same first n and the same detail as a walk of every row would.  Each
+    check finishes on its own pass or first failure; the walk ends once all
+    of them have finished.  Reports come back in the order of `names`.
+    Every range is validated before the first window is read.
+
+    Partition.  Say a >= hi, and the pending a-values are a_k = first - 1
+    = expect and then only values >= hi.  The window's own a-values grow
+    by b >= first > expect >= 1 from a, so they too lie at or above hi.
+    Then the rows pop a_k, cover first, ..., hi - 1 in turn and reach no
+    other pending value.  As expect <= upto while the check runs, it
+    passes in this window if hi > upto; otherwise expect becomes hi and
+    the window's a-values <= upto join the pending ones.  In a stream
+    without faults only the first two windows, whose a-values lie among
+    their own b-values, are walked.
+
+    Identities.  Inside a window a_{m+1} - a_m = b_m holds by construction,
+    so the difference law is tested at the window's start only.  b - n =
+    first - n on every row, so the shift law holds on all of them if
+    first == n + k.  Given that, the closed form's right side and a both
+    grow by n + k per row, so it holds on all of them if it holds at n.
+    The counting window (a_k - k, a_{k+1} - (k + 1)] is an interval, so it
+    holds on the rows n, ..., min(n + w - 1, upto) if it holds at both
+    ends.  Rows past upto are held only to the difference law, so a window
+    that passes and holds row upto + 1 ends the check.
+
+    Bounds.  With d = b - n = first - n and u = k constant on the window,
+    each of the six bounds at the window's first row implies it at every
+    later row m:
+    * u >= 1 and b >= n + 1 do not change.
+    * (2k - 1)^2 < 8m and (2d - 1)^2 < 8m are weakest at the smallest m.
+    * The slack 2a - m(m + 1) grows by 2b - 2(m + 1) = 2(d - 1) >= 0 per
+      step.
+    * a < f(m) = m^2/2 + (2^1.5/3) m^1.5 - 1/3: since (m + 1)^1.5 - m^1.5
+      > 1.5 m^0.5, f(m + 1) - f(m) > m + 1/2 + sqrt(2m).  a grows by
+      b = m + d, and the b bound at n gives d < sqrt(2n) + 1/2 <=
+      sqrt(2m) + 1/2, so the step of a is smaller and a stays below f.
+      (Where the shift law holds d = k, and this is the u bound.)
     """
     for name in names:
-        if upto < _MIN_UPTO[name]:
-            raise ValueError(f"upto must be >= {_MIN_UPTO[name]}")
-    reports: dict[str, CheckReport] = {}
-    partition, identities, bounds = (name in names for name in CHECK_NAMES)
-    # partition: the smallest integer not yet covered, and the a-values
-    # <= upto that have been generated but not yet reached.
-    expect = 1
-    pending_a: deque[int] = deque()
-    # identities: u_1 + ... + u_{n-1} and the previous row's a and b.
-    u_sum = 0
-    previous_a = previous_b = 0
-    # The run bounds a_1..a_{u+1} read so far, for the counting window.
+        if upto < _CHECKS[name].min_upto:
+            raise ValueError(f"upto must be >= {_CHECKS[name].min_upto}")
     prefix: list[int] = []
-    for n, a, b, u in _rows(1, _recorded(_a_values(), prefix)):
-        if partition:
-            # Cover, in order, the pending a-values below b and then b itself.
-            failure = None
-            if a <= upto:
-                pending_a.append(a)
-            while pending_a and pending_a[0] < b:
-                value = pending_a.popleft()
-                if value != expect:
-                    failure = (expect, f"a-value {value} arrived, expected {expect}")
-                    break
-                expect += 1
-                if expect > upto:
-                    break
-            else:
-                if b > expect:
-                    failure = (expect, f"no sequence value covers {expect}")
-                elif b < expect:
-                    failure = (expect, f"b-value {b} repeats covered ground")
-                else:
-                    expect += 1
-            if failure or expect > upto:
-                reports["partition"] = _report("partition", upto, failure)
-                partition = False
-        if identities:
-            # The four laws of check_identities; row upto + 1 is read only
-            # for the difference law at n = upto.
-            failure = None
-            if n > 1 and a - previous_a != previous_b:
-                failure = (
-                    n - 1,
-                    f"a({n}) - a({n - 1}) = {a - previous_a}, expected b({n - 1}) = {previous_b}",
-                )
-            elif n > upto:
-                pass
-            elif b != n + u:
-                failure = (n, f"b = {b} but n + u = {n + u}")
-            elif a != 1 + (n - 1) * n // 2 + u_sum:
-                failure = (n, f"a = {a} but 1 + (n-1)n/2 + sum(u) = {1 + (n - 1) * n // 2 + u_sum}")
-            else:
-                window_lo = prefix[u - 1] - u
-                window_hi = prefix[u] - (u + 1)
-                if not window_lo < n <= window_hi:
-                    failure = (n, f"counting window ({window_lo}, {window_hi}] misses n")
-            if failure or n > upto:
-                reports["identities"] = _report("identities", upto, failure)
-                identities = False
-            u_sum += u
-            previous_a, previous_b = a, b
-        if bounds:
-            # The six bounds of check_bounds, each at every n.
-            failure = None
-            if u < 1:
-                failure = (n, f"u = {u} below 1")
-            elif not sqrt_window_bound_holds(n, u):
-                failure = (n, f"u = {u} not below sqrt(2n) + 1/2")
-            elif b < n + 1:
-                failure = (n, f"b = {b} below n + 1")
-            elif not sqrt_window_bound_holds(n, b - n):
-                failure = (n, f"b = {b} not below n + sqrt(2n) + 1/2")
-            elif 2 * a < n * (n + 1):
-                failure = (n, f"a = {a} below n^2/2 + n/2")
-            elif not a_upper_bound_holds(n, a):
-                failure = (n, f"a = {a} not below n^2/2 + (2^1.5/3) n^1.5 - 1/3")
-            if failure or n == upto:
-                reports["bounds"] = _report("bounds", upto, failure)
-                bounds = False
-        if not (partition or identities or bounds):
+    running = {name: _CHECKS[name](upto, prefix) for name in names}
+    reports: dict[str, CheckReport] = {}
+    for window in _runs(1, _recorded(_a_values(), prefix)):
+        for name, check in list(running.items()):
+            if check.window(*window):
+                reports[name] = CheckReport(name, 1, upto, check.failure is None, check.failure)
+                del running[name]
+        if not running:
             return tuple(reports[name] for name in names)
     raise AssertionError("unreachable: the stream is infinite")
 
@@ -249,8 +376,7 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
     depth whose next rung scales the remainder.
     """
     _check_seq(seq)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"series order must be in 1..{MAX_ORDER}")
+    _check_order(order)
     if not ns:
         raise ValueError("ns must be non-empty")
     if any(ns[i] >= ns[i + 1] for i in range(len(ns) - 1)) or ns[0] < 1:
@@ -271,8 +397,7 @@ def decade_remainder_means(
     coefficient as the decades climb.
     """
     _check_seq(seq)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"series order must be in 1..{MAX_ORDER}")
+    _check_order(order)
     if first_decade < 0 or last_decade < first_decade:
         raise ValueError("need 0 <= first_decade <= last_decade")
     lo = 10**first_decade

@@ -1,8 +1,11 @@
 """Check reports, exact bound predicates, and remainder diagnostics."""
 
 import math
+from collections import deque
+from itertools import islice, takewhile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from figfig import (
     CheckReport,
@@ -21,6 +24,7 @@ from figfig import (
 )
 from figfig import checks
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
+from figfig.stream import Triple, _a_values
 
 CHECK_NAMES = ("partition", "identities", "bounds")
 CHECKS = (check_partition, check_identities, check_bounds)
@@ -148,6 +152,16 @@ def test_decade_means_drift_toward_next_coefficient():
     assert abs(means[1][1] - target) < abs(means[0][1] - target)
 
 
+@pytest.mark.parametrize("call", [
+    lambda order: remainder_table("u", order, [10]),
+    lambda order: decade_remainder_means("u", order, 1, 2),
+], ids=["remainder_table", "decade_remainder_means"])
+@pytest.mark.parametrize("order", [0, 65])
+def test_order_validation_message(call, order):
+    with pytest.raises(ValueError, match=r"^series order must be in 1\.\.64$"):
+        call(order)
+
+
 def test_decade_means_validations():
     with pytest.raises(ValueError):
         decade_remainder_means("c", 1, 2, 3)
@@ -193,10 +207,137 @@ def test_remainder_table_reaches_far_indices():
     assert row.remainder == row.exact - row.series
 
 
-# Failure paths: the checks read their rows through figfig.checks._rows, so
-# replacing that name with a corrupting wrapper feeds every check the same
+def flat_rows(windows):
+    """The (n, a, b, u) rows of a stream of windows (n, a, first, hi, k)."""
+    for n, a, first, hi, k in windows:
+        for b in range(first, hi):
+            yield n, a, b, k
+            a += b
+            n += 1
+
+
+def reference_run_checks(upto, names):
+    """The row-at-a-time check driver that the window-at-a-time one replaced,
+    kept as the reference: every law tested at every row.  It reads the
+    windows of figfig.checks._runs flattened into rows, and its run bounds
+    through figfig.checks._recorded, so it sees the same stream, faults
+    included, as the driver under test."""
+    min_upto = {"partition": 1, "identities": 2, "bounds": 1}
+    for name in names:
+        if upto < min_upto[name]:
+            raise ValueError(f"upto must be >= {min_upto[name]}")
+    reports = {}
+    partition, identities, bounds = (name in names for name in CHECK_NAMES)
+
+    def report(name, failure):
+        reports[name] = CheckReport(name, 1, upto, failure is None, failure)
+
+    expect = 1
+    pending_a = deque()
+    u_sum = 0
+    previous_a = previous_b = 0
+    prefix = []
+    for n, a, b, u in flat_rows(checks._runs(1, checks._recorded(checks._a_values(), prefix))):
+        if partition:
+            failure = None
+            if a <= upto:
+                pending_a.append(a)
+            while pending_a and pending_a[0] < b:
+                value = pending_a.popleft()
+                if value != expect:
+                    failure = (expect, f"a-value {value} arrived, expected {expect}")
+                    break
+                expect += 1
+                if expect > upto:
+                    break
+            else:
+                if b > expect:
+                    failure = (expect, f"no sequence value covers {expect}")
+                elif b < expect:
+                    failure = (expect, f"b-value {b} repeats covered ground")
+                else:
+                    expect += 1
+            if failure or expect > upto:
+                report("partition", failure)
+                partition = False
+        if identities:
+            failure = None
+            if n > 1 and a - previous_a != previous_b:
+                failure = (
+                    n - 1,
+                    f"a({n}) - a({n - 1}) = {a - previous_a}, expected b({n - 1}) = {previous_b}",
+                )
+            elif n > upto:
+                pass
+            elif b != n + u:
+                failure = (n, f"b = {b} but n + u = {n + u}")
+            elif a != 1 + (n - 1) * n // 2 + u_sum:
+                failure = (n, f"a = {a} but 1 + (n-1)n/2 + sum(u) = {1 + (n - 1) * n // 2 + u_sum}")
+            else:
+                window_lo = prefix[u - 1] - u
+                window_hi = prefix[u] - (u + 1)
+                if not window_lo < n <= window_hi:
+                    failure = (n, f"counting window ({window_lo}, {window_hi}] misses n")
+            if failure or n > upto:
+                report("identities", failure)
+                identities = False
+            u_sum += u
+            previous_a, previous_b = a, b
+        if bounds:
+            failure = None
+            if u < 1:
+                failure = (n, f"u = {u} below 1")
+            elif not sqrt_window_bound_holds(n, u):
+                failure = (n, f"u = {u} not below sqrt(2n) + 1/2")
+            elif b < n + 1:
+                failure = (n, f"b = {b} below n + 1")
+            elif not sqrt_window_bound_holds(n, b - n):
+                failure = (n, f"b = {b} not below n + sqrt(2n) + 1/2")
+            elif 2 * a < n * (n + 1):
+                failure = (n, f"a = {a} below n^2/2 + n/2")
+            elif not a_upper_bound_holds(n, a):
+                failure = (n, f"a = {a} not below n^2/2 + (2^1.5/3) n^1.5 - 1/3")
+            if failure or n == upto:
+                report("bounds", failure)
+                bounds = False
+        if not (partition or identities or bounds):
+            return tuple(reports[name] for name in names)
+
+
+def corrupting_runs(real, index, changes):
+    """A stand-in for _runs that corrupts row `index`.
+
+    The window holding that row is split into the rows before it, the row
+    itself as a window of width 1, (n, a, b, b + 1, u), with `changes`
+    applied, and the rows after it.  Flattened, this is the true stream
+    with one row replaced.
+    """
+
+    def runs(start, lag=None):
+        for n, a, first, hi, k in real(start, lag):
+            offset = index - n
+            if not 0 <= offset < hi - first:
+                yield n, a, first, hi, k
+                continue
+            b = first + offset
+            row_a = a + (first + b - 1) * offset // 2
+            if offset:
+                yield n, a, first, b, k
+            row = Triple(index, row_a, b, k)._replace(**changes)
+            yield row.n, row.a, row.b, row.b + 1, row.u
+            if b + 1 < hi:
+                yield index + 1, row_a + b, b + 1, hi, k
+
+    return runs
+
+
+# Failure paths: the checks read their windows through figfig.checks._runs,
+# so replacing that name with corrupting_runs feeds every check the same
 # faulty stream.  Each case lists the first failure of (partition,
 # identities, bounds) at upto = 2000; None means that check still passes.
+# At that upto the windows of u = 56, 57 and 58 cover the indices
+# 1823-1886, 1887-1951 and 1952-2017, and the b-values of u = 57 run
+# from 1944 to 2008, past upto.
 FAULT_UPTO = 2000
 FAULTS = {
     "repeated_b": (20, {"b": 24}, (
@@ -235,6 +376,51 @@ FAULTS = {
         None,
     )),
     "b_just_past_upto": (2001, {"b": 5000}, (None, None, None)),
+    "b_at_window_first": (1823, {"b": 1878}, (
+        (1879, "a-value 1878 arrived, expected 1879"),
+        (1823, "b = 1878 but n + u = 1879"),
+        None,
+    )),
+    "a_at_window_first": (1952, {"a": 1}, (
+        None,
+        (1951, "a(1952) - a(1951) = -1976172, expected b(1951) = 2008"),
+        (1952, "a = 1 below n^2/2 + n/2"),
+    )),
+    "b_at_window_last": (1886, {"b": 5000}, (
+        (1942, "a-value 1943 arrived, expected 1942"),
+        (1886, "b = 5000 but n + u = 1942"),
+        (1886, "b = 5000 not below n + sqrt(2n) + 1/2"),
+    )),
+    "a_at_window_last": (1951, {"a": 10**7}, (
+        None,
+        (1950, "a(1951) - a(1950) = 8025834, expected b(1950) = 2007"),
+        (1951, "a = 10000000 not below n^2/2 + (2^1.5/3) n^1.5 - 1/3"),
+    )),
+    "b_in_window_straddling_upto": (1940, {"b": 1998}, (
+        (1997, "no sequence value covers 1997"),
+        (1940, "b = 1998 but n + u = 1997"),
+        None,
+    )),
+    "u_in_window_holding_upto": (2000, {"u": 59}, (
+        None,
+        (2000, "b = 2058 but n + u = 2059"),
+        None,
+    )),
+    "a_at_first_row_of_window_straddling_upto": (1887, {"a": 5}, (
+        (1944, "a-value 5 arrived, expected 1944"),
+        (1886, "a(1887) - a(1886) = -1847794, expected b(1886) = 1942"),
+        (1887, "a = 5 below n^2/2 + n/2"),
+    )),
+    "a_inside_the_b_values_of_the_window_before_it": (57, {"a": 1900}, (
+        (1901, "a-value 1900 arrived, expected 1901"),
+        (56, "a(57) - a(56) = 22, expected b(56) = 65"),
+        None,
+    )),
+    "a_equal_to_own_b_in_window_straddling_upto": (1900, {"a": 1957}, (
+        (1958, "a-value 1957 arrived, expected 1958"),
+        (1899, "a(1900) - a(1899) = -1871178, expected b(1899) = 1956"),
+        (1900, "a = 1957 below n^2/2 + n/2"),
+    )),
 }
 
 
@@ -243,13 +429,7 @@ def fault(request, monkeypatch):
     """Corrupt one row of the stream the checks read; return the expected
     first failures."""
     index, changes, expected = FAULTS[request.param]
-    real = checks._rows
-
-    def rows(start, lag=None):
-        for row in real(start, lag):
-            yield row._replace(**changes) if row.n == index else row
-
-    monkeypatch.setattr(checks, "_rows", rows)
+    monkeypatch.setattr(checks, "_runs", corrupting_runs(checks._runs, index, changes))
     return expected
 
 
@@ -263,15 +443,24 @@ def test_fault_table_corrupts_real_values():
         assert all(getattr(row, key) != value for key, value in changes.items())
 
 
+def test_corrupting_runs_replaces_exactly_one_row():
+    true_rows = list(islice(flat_rows(checks._runs(1)), 2100))
+    for index, changes, _ in FAULTS.values():
+        expected = list(true_rows)
+        expected[index - 1] = tuple(Triple(*expected[index - 1])._replace(**changes))
+        runs = corrupting_runs(checks._runs, index, changes)
+        assert list(islice(flat_rows(runs(1)), 2100)) == expected
+
+
 def test_each_check_reports_its_first_failure(fault):
     for name, check, failure in zip(CHECK_NAMES, CHECKS, fault):
         assert check(FAULT_UPTO) == _report(name, failure)
 
 
 def test_fused_checks_fail_independently(fault):
-    assert check_all(FAULT_UPTO) == tuple(
-        _report(name, failure) for name, failure in zip(CHECK_NAMES, fault)
-    )
+    expected = tuple(_report(name, failure) for name, failure in zip(CHECK_NAMES, fault))
+    assert check_all(FAULT_UPTO) == expected
+    assert reference_run_checks(FAULT_UPTO, CHECK_NAMES) == expected
 
 
 def test_verify_all_prints_every_failure(fault, capsys):
@@ -288,6 +477,116 @@ def test_verify_all_prints_every_failure(fault, capsys):
             assert line == prefix + f"FAIL at n={failure[0]}: {failure[1]}"
 
 
-@pytest.mark.parametrize("upto", [2, 14, 500, 10_000])
+@pytest.mark.parametrize("upto", [2, 14, 500, 10_000, 10**6])
 def test_check_all_matches_single_checks(upto):
-    assert check_all(upto) == tuple(check(upto) for check in CHECKS)
+    reference = reference_run_checks(upto, CHECK_NAMES)
+    assert check_all(upto) == reference
+    assert tuple(check(upto) for check in CHECKS) == reference
+
+
+# The partition ends where upto is an a-value (a_4 = 12, a_57 = 1943),
+# with that a-value's row corrupted.
+@pytest.mark.parametrize("upto, index, changes, failure", [
+    (12, 4, {"a": 13}, (12, "no sequence value covers 12")),
+    (1943, 57, {"a": 1944}, (1943, "no sequence value covers 1943")),
+    (1943, 57, {"a": 1942}, (1943, "a-value 1942 arrived, expected 1943")),
+])
+def test_partition_ending_at_an_a_value(monkeypatch, upto, index, changes, failure):
+    monkeypatch.setattr(checks, "_runs", corrupting_runs(checks._runs, index, changes))
+    expected = CheckReport("partition", 1, upto, False, failure)
+    assert check_partition(upto) == expected
+    assert reference_run_checks(upto, ("partition",)) == (expected,)
+
+
+def misrecorded(position, delta):
+    """A stand-in for _recorded that records a_{position + 1}, the bound the
+    counting window reads, off by delta, and passes the true value on."""
+
+    def recorded(values, into):
+        for i, value in enumerate(values):
+            into.append(value + delta if i == position else value)
+            yield value
+
+    return recorded
+
+
+# A misread run bound a_{k+1} shifts the upper end of window k's counting
+# window and the lower end of window k + 1's.  The window of u = 58 holds
+# upto = 2000, so only its rows up to 2000 are checked.
+@pytest.mark.parametrize("upto, position, delta, failure", [
+    (20, 3, 1, (9, "counting window (9, 13] misses n")),
+    (2000, 56, -1, (1886, "counting window (1822, 1885] misses n")),
+    (2000, 56, -10, (1877, "counting window (1822, 1876] misses n")),
+    (2000, 56, 1, (1887, "counting window (1887, 1951] misses n")),
+    (2000, 58, -10, None),
+    (2000, 58, -20, (1998, "counting window (1951, 1997] misses n")),
+])
+def test_counting_window_failures(monkeypatch, upto, position, delta, failure):
+    monkeypatch.setattr(checks, "_recorded", misrecorded(position, delta))
+    expected = CheckReport("identities", 1, upto, failure is None, failure)
+    assert check_identities(upto) == expected
+    assert check_all(upto) == reference_run_checks(upto, CHECK_NAMES)
+    assert check_all(upto)[1] == expected
+
+
+def _windows(limit):
+    """(first index, last index, first b, hi) of every window up to limit."""
+    windows = []
+    for n, _, first, hi, _ in checks._runs(1):
+        if n > limit:
+            return windows
+        windows.append((n, n + hi - first - 1, first, hi))
+
+
+WINDOWS = _windows(20_001)
+A_VALUES = list(takewhile((20_000).__ge__, _a_values()))
+
+
+@st.composite
+def faulty_runs(draw):
+    upto = draw(st.one_of(st.integers(2, 20_000), st.sampled_from(A_VALUES[1:])))
+    place = draw(st.sampled_from([
+        "any", "a_value_row", "window_first", "window_last", "b_reaches_upto", "upto", "upto + 1",
+    ]))
+    if place == "any":
+        index = draw(st.integers(1, upto + 1))
+    elif place == "a_value_row":
+        # A row whose a-value the partition holds until b reaches it.
+        index = draw(st.integers(1, sum(value <= upto for value in A_VALUES) + 1))
+    elif place == "b_reaches_upto":
+        # A row of the window whose b-values run past upto.
+        n, last, _, _ = next(w for w in WINDOWS if w[3] > upto)
+        index = draw(st.integers(n, last))
+    elif place == "upto":
+        index = upto
+    elif place == "upto + 1":
+        index = upto + 1
+    else:
+        ends = [w[:2] for w in WINDOWS if w[place == "window_last"] <= upto + 1]
+        index = draw(st.sampled_from(ends))[place == "window_last"]
+    field = draw(st.sampled_from(["a", "b", "u"]))
+    row = next(checks._rows(index))
+    true_value = getattr(row, field)
+    # A value off by a little or a lot, one near the row's own b, or one
+    # among those the partition covers up to upto.
+    value = draw(st.one_of(
+        st.integers(-3, 3).map(true_value.__add__),
+        st.integers(-10**7, 10**7).map(true_value.__add__),
+        st.integers(-2, 2).map(row.b.__add__),
+        st.integers(-2, upto + 2),
+    ).filter(true_value.__ne__))
+    names = draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1, max_size=3, unique=True))
+    return upto, index, {field: value}, tuple(names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_runs())
+def test_windowed_checks_match_reference_under_any_fault(case):
+    upto, index, changes, names = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "_runs", corrupting_runs(checks._runs, index, changes))
+        assert checks._run_checks(upto, names) == reference_run_checks(upto, names)
+
+
+def test_check_all_reaches_1e9():
+    assert all(report.passed for report in check_all(10**9))

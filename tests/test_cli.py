@@ -321,6 +321,14 @@ def test_verify_single_check(capsys):
     assert out == "bounds [1, 300]: PASS\n"
 
 
+def test_verify_all_reaches_1e9(capsys):
+    code, out, err = run(capsys, "verify", "--check", "all", "--upto", "1000000000")
+    assert (code, err) == (0, "")
+    assert out == "".join(
+        f"{name} [1, 1000000000]: PASS\n" for name in ("partition", "identities", "bounds")
+    )
+
+
 def test_verify_identities_needs_two_terms(capsys):
     code, _, err = run(capsys, "verify", "--check", "identities", "--upto", "1")
     assert code == 2
