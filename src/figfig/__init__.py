@@ -28,7 +28,7 @@ from .series import (
     root_pow,
     u_coeff,
 )
-from .stream import SEQUENCE_IDS, Triple, TripleStream, triples, value_at
+from .stream import SEQUENCE_IDS, Triple, TripleStream, value_at
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "remainder_table",
     "root_pow",
     "run_cli",
-    "triples",
     "u_coeff",
     "value_at",
     "write_bfile",

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .series import _a_tail, _check_order, _u_sum
+from .series import _check_order, _ladder
 from .stream import Triple, _a_values, _check_seq, _recorded, _rows, _runs
 
 __all__ = [
@@ -356,17 +356,25 @@ def _series_parts(seq: str, order: int, row: Triple) -> tuple[int, float, float,
     """
     n = row.n
     if seq == "a":
-        tail, rung = _a_tail(n, order)
+        tail, rung = _ladder(n, order, "a")
         series = n * n / 2 + tail
         remainder = (2 * row.a - n * n) / 2 - tail
         scaled = remainder / ((n / 2) * math.sqrt(rung))
         return row.a, series, remainder, scaled
-    u_series, rung = _u_sum(n, order)
+    u_series, rung = _ladder(n, order, "u")
     remainder = row.u - u_series
     scaled = remainder / math.sqrt(rung)
     if seq == "b":
         return row.b, n + u_series, remainder, scaled
     return row.u, u_series, remainder, scaled
+
+
+def _check_ns(ns: Sequence[int]) -> None:
+    """Raise ValueError unless ns is a non-empty, strictly increasing run of indices >= 1."""
+    if not ns:
+        raise ValueError("ns must be non-empty")
+    if any(ns[i] >= ns[i + 1] for i in range(len(ns) - 1)) or ns[0] < 1:
+        raise ValueError("ns must be strictly increasing positive integers")
 
 
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
@@ -377,10 +385,7 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
     """
     _check_seq(seq)
     _check_order(order)
-    if not ns:
-        raise ValueError("ns must be non-empty")
-    if any(ns[i] >= ns[i + 1] for i in range(len(ns) - 1)) or ns[0] < 1:
-        raise ValueError("ns must be strictly increasing positive integers")
+    _check_ns(ns)
     return [
         RemainderRow(n, order, *_series_parts(seq, order, next(_rows(n))))
         for n in ns

@@ -23,8 +23,8 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .bfile import compare_reference, parse_bfile
-from .checks import CHECK_NAMES, CheckReport, _run_checks, remainder_table
-from .series import MAX_ORDER, a_coeff, eval_a_series, eval_b_series, eval_u_series, u_coeff
+from .checks import CHECK_NAMES, CheckReport, _check_ns, _run_checks, remainder_table
+from .series import _check_order, a_coeff, eval_a_series, eval_b_series, eval_u_series, u_coeff
 from .stream import _runs
 
 __all__ = ["main", "run_cli"]
@@ -65,11 +65,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _order_arg(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"must be in 1..{MAX_ORDER}")
+def _checked(check, value):
+    """value if the library's own check accepts it, else an argparse error with its message."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
+
+
+def _order_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    return _checked(_check_order, value)
 
 
 def _ns_arg(text: str) -> list[int]:
@@ -77,11 +87,7 @@ def _ns_arg(text: str) -> list[int]:
         values = [int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated integers") from None
-    if not values or values[0] < 1 or any(
-        values[i] >= values[i + 1] for i in range(len(values) - 1)
-    ):
-        raise argparse.ArgumentTypeError("indices must be strictly increasing and >= 1")
-    return values
+    return _checked(_check_ns, values)
 
 
 def _decades_arg(text: str) -> tuple[int, int]:

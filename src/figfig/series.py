@@ -85,23 +85,29 @@ def root_pow(x: float, k: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _u_coeff_float(k: int) -> float:
-    return float(u_coeff(k))
+def _floats(summed: str) -> tuple[float, ...]:
+    # The coefficients of one family as floats, positions 1..MAX_ORDER.
+    # Built on first use, not at import, which every CLI run would pay.
+    coeff = u_coeff if summed == "u" else a_coeff
+    return tuple(float(coeff(k)) for k in range(1, MAX_ORDER + 1))
 
 
-@lru_cache(maxsize=None)
-def _a_coeff_float(k: int) -> float:
-    return float(a_coeff(k))
+def _ladder(n: int, order: int, summed: str) -> tuple[float, float]:
+    """(sum, last rung) of the u-series (`summed` "u") or the a-series tail ("a").
 
-
-def _u_sum(n: int, order: int) -> tuple[float, float]:
-    # (u-series, last rung (n/2)^(1/2^order)): one more square root of the
-    # rung gives the next term's power without climbing the ladder again.
-    root = n / 2
-    total = 0.0
-    for k in range(1, order + 1):
-        root = math.sqrt(root)  # (n/2)^(1/2^k), same ops as root_pow
-        total += _u_coeff_float(k) * root
+    Both climb the ladder (n/2)^(1/2^k), k = 1..order, by the same square
+    roots as root_pow and add the terms in order of k.  An a-term is
+    coefficient * (n/2)^(1/2^k) * (n/2), its power 1 + 1/2^k split so no
+    intermediate exceeds n; a u-term is scaled by 1.0, which changes no
+    bit.  One more square root of the last rung (n/2)^(1/2^order) gives
+    the next term's power without climbing the ladder again.
+    """
+    half = n / 2
+    scale = 1.0 if summed == "u" else half
+    root, total = half, 0.0
+    for coeff in _floats(summed)[:order]:
+        root = math.sqrt(root)
+        total += coeff * root * scale
     return total, root
 
 
@@ -109,7 +115,7 @@ def eval_u_series(n: int, order: int) -> float:
     """Truncated u-series at index n, positions 1..order summed in order."""
     _check_index(n)
     _check_order(order)
-    return _u_sum(n, order)[0]
+    return _ladder(n, order, "u")[0]
 
 
 def eval_b_series(n: int, order: int) -> float:
@@ -117,20 +123,8 @@ def eval_b_series(n: int, order: int) -> float:
     return n + eval_u_series(n, order)
 
 
-def _a_tail(n: int, order: int) -> tuple[float, float]:
-    # (tail, last rung), as _u_sum.  Each power 1 + 1/2^k is split as
-    # (n/2) * (n/2)^(1/2^k) so no intermediate ever exceeds n.
-    half = n / 2
-    root = half
-    total = 0.0
-    for k in range(1, order + 1):
-        root = math.sqrt(root)
-        total += _a_coeff_float(k) * root * half
-    return total, root
-
-
 def eval_a_series(n: int, order: int) -> float:
     """Truncated a-series at index n: n^2/2 plus the summed tail."""
     _check_index(n)
     _check_order(order)
-    return n * n / 2 + _a_tail(n, order)[0]
+    return n * n / 2 + _ladder(n, order, "a")[0]

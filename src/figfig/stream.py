@@ -26,15 +26,16 @@ The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
 the indices run from n, u = k throughout, and the next window's a is
 a_n plus the sum of that range.  `_rows(start)` is its plain flattening
-into `Triple` rows, which the stream and the checks read; `figfig gen`
-and the b-file compare work on whole windows straight from `_runs`.
+into `Triple` rows, which TripleStream, value_at and the remainder tools
+read; the law checks, `figfig gen` and the b-file compare work on whole
+windows straight from `_runs`.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-__all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "triples", "value_at"]
+__all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
 
 SEQUENCE_IDS = ("a", "b", "u")
 
@@ -114,6 +115,11 @@ def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
 
 
 def _recorded(values: Iterator[int], into: list[int]) -> Iterator[int]:
+    """`values` passed through, each also appended to `into`.
+
+    As the lag of _runs(1) this records the run bounds a_1..a_{u+1} read
+    so far, a leading slice that stays O(sqrt n) long at index n.
+    """
     for value in values:
         into.append(value)
         yield value
@@ -128,10 +134,7 @@ class TripleStream:
     """
 
     def __init__(self) -> None:
-        # The run bounds a_1..a_{u+1} consumed so far: the leading slice of
-        # a-values, which stays O(sqrt n) long however far the stream runs.
-        self._prefix: list[int] = []
-        self._rows = _rows(1, _recorded(_a_values(), self._prefix))
+        self._rows = _rows(1)
 
     def next_triple(self) -> Triple:
         """Advance one index and return the new row."""
@@ -143,31 +146,11 @@ class TripleStream:
             raise ValueError("count must be >= 1")
         return [self.next_triple() for _ in range(count)]
 
-    def early_a(self, m: int) -> int:
-        """a_m for an index still inside the retained leading slice.
-
-        Valid for 1 <= m <= u_n + 1 at every point of the stream; raises
-        IndexError beyond the slice.
-        """
-        if m < 1:
-            raise ValueError("a-index must be >= 1")
-        return self._prefix[m - 1]
-
-    @property
-    def a_prefix(self) -> tuple[int, ...]:
-        """Snapshot of the retained leading a-values (a_1, a_2, ...)."""
-        return tuple(self._prefix)
-
     def __iter__(self) -> Iterator[Triple]:
         return self
 
     def __next__(self) -> Triple:
         return self.next_triple()
-
-
-def triples() -> Iterator[Triple]:
-    """A fresh infinite iterator over the joint stream."""
-    return TripleStream()
 
 
 def value_at(seq: str, n: int) -> int:

@@ -240,11 +240,31 @@ def test_coeffs_summed_series(capsys):
     assert out == "8/3, -32/15, 256/135\n"
 
 
+# The last stderr line argparse prints after its usage line, by bad --order.
+BAD_ORDER_LINES = {
+    "0": "argument --order: series order must be in 1..64",
+    "65": "argument --order: series order must be in 1..64",
+    "x": "argument --order: expected an integer, got 'x'",
+}
+
+
 @pytest.mark.parametrize("order", ["0", "65", "x"])
 def test_coeffs_rejects_bad_order(capsys, order):
     code, _, err = run(capsys, "coeffs", "--order", order)
     assert code == 2
-    assert err != ""
+    assert err.startswith("usage: figfig coeffs ")
+    assert err.splitlines()[-1] == f"figfig coeffs: error: {BAD_ORDER_LINES[order]}"
+
+
+@pytest.mark.parametrize("order", ["0", "65"])
+@pytest.mark.parametrize(
+    "argv", [["approx", "--seq", "u", "--n", "5"], ["remainder", "--seq", "u", "--ns", "5"]]
+)
+def test_series_commands_reject_bad_order(capsys, argv, order):
+    code, out, err = run(capsys, *argv, "--order", order)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: figfig {argv[0]} ")
+    assert err.splitlines()[-1] == f"figfig {argv[0]}: error: {BAD_ORDER_LINES[order]}"
 
 
 def test_approx_single_point(capsys):
@@ -298,7 +318,10 @@ def test_remainder_jsonl(capsys):
 def test_remainder_rejects_bad_points(capsys, ns):
     code, _, err = run(capsys, "remainder", "--seq", "u", "--order", "1", "--ns", ns)
     assert code == 2
-    assert err != ""
+    assert err.startswith("usage: figfig remainder ")
+    assert err.splitlines()[-1] == (
+        "figfig remainder: error: argument --ns: ns must be strictly increasing positive integers"
+    )
 
 
 def test_remainder_rejects_bad_decades(capsys):

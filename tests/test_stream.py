@@ -11,11 +11,10 @@ from figfig import (
     compare_reference,
     decade_remainder_means,
     remainder_table,
-    triples,
     value_at,
 )
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
-from figfig.stream import _rows, _runs
+from figfig.stream import _a_values, _recorded, _rows, _runs
 
 from oracle import oracle_triples
 
@@ -28,6 +27,11 @@ RUN_ROWS = 1000  # more than RUN_STEPS windows hold near JUMP_LIMIT
 A_FIRST = [1, 3, 7, 12, 18, 26, 35, 45, 56, 69]
 B_FIRST = [2, 4, 5, 6, 8, 9, 10, 11, 13, 14]
 U_FIRST = [1, 2, 2, 2, 3, 3, 3, 3, 4, 4]
+
+
+def recorded_rows(prefix):
+    """The rows from n = 1, with the run bounds a_1, a_2, ... read so far in `prefix`."""
+    return _rows(1, _recorded(_a_values(), prefix))
 
 
 def test_first_ten_rows_match_published_terms():
@@ -88,7 +92,7 @@ def test_fresh_streams_are_identical():
 
 
 def test_iteration_protocol_matches_take():
-    assert list(islice(triples(), 5)) == TripleStream().take(5)
+    assert list(islice(TripleStream(), 5)) == TripleStream().take(5)
 
 
 def test_monotonicity_and_u_steps():
@@ -106,25 +110,25 @@ def test_shift_identity():
 
 
 def test_prefix_tracks_leading_a_values():
-    stream = TripleStream()
-    rows = stream.take(400)
-    prefix = stream.a_prefix
-    assert list(prefix) == [r.a for r in rows[: len(prefix)]]
+    prefix = []
+    rows = list(islice(recorded_rows(prefix), 400))
+    assert prefix == [r.a for r in rows[: len(prefix)]]
     last_u = rows[-1].u
     assert last_u + 1 <= len(prefix) <= last_u + 2
 
 
 def test_prefix_starts_at_one():
-    stream = TripleStream()
-    stream.next_triple()
-    assert stream.a_prefix[0] == 1
+    prefix = []
+    next(recorded_rows(prefix))
+    assert prefix[0] == 1
 
 
 def test_prefix_stays_sublinear():
-    stream = TripleStream()
+    prefix = []
+    rows = recorded_rows(prefix)
     for _ in range(20_000):
-        row = stream.next_triple()
-    assert len(stream.a_prefix) <= row.u + 2
+        row = next(rows)
+    assert len(prefix) <= row.u + 2
 
 
 @pytest.mark.parametrize(
@@ -142,22 +146,11 @@ def test_unknown_sequence_id_message(call):
     assert str(raised.value) == "unknown sequence id 'c', expected one of ('a', 'b', 'u')"
 
 
-def test_early_a_accessor():
-    stream = TripleStream()
-    stream.take(50)
-    assert stream.early_a(1) == 1
-    assert stream.early_a(5) == 18
-    with pytest.raises(ValueError):
-        stream.early_a(0)
-    with pytest.raises(IndexError):
-        stream.early_a(10**6)
-
-
 def test_counting_window_bracket():
-    stream = TripleStream()
-    for row in islice(stream, 300):
-        low = stream.early_a(row.u) - row.u
-        high = stream.early_a(row.u + 1) - (row.u + 1)
+    prefix = []
+    for row in islice(recorded_rows(prefix), 300):
+        low = prefix[row.u - 1] - row.u
+        high = prefix[row.u] - (row.u + 1)
         assert low < row.n <= high
 
 
@@ -240,6 +233,6 @@ def test_far_jump_agrees_with_streaming_from_an_earlier_jump():
 
 
 def test_prefix_length_tracks_u_all_along():
-    stream = TripleStream()
-    for row in islice(stream, 5000):
-        assert row.u + 1 <= len(stream.a_prefix) <= row.u + 2
+    prefix = []
+    for row in islice(recorded_rows(prefix), 5000):
+        assert row.u + 1 <= len(prefix) <= row.u + 2
