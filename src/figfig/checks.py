@@ -18,7 +18,14 @@ the exact values.  The remainder is divided by the next rung of the
 power ladder, the term a one-order-deeper truncation would add; on that
 scale it settles near the next coefficient.  Where it should settle, and
 how tightly, is a convention of this package's test suite rather than a
-proved enclosure.
+proved enclosure.  Both remainder tools sum the series a column of indices
+at a time, climbing each rung of the ladder once for the column with the
+same float operations, in the same order, as one index alone takes.  The
+decade means walk the windows of constant u in columns of at most 1024
+consecutive indices, reading each window's exact values as one range, so
+their working memory stays bounded by one column however many decades
+they span; each decade's scaled values are added left to right, one at a
+time, so the means are the same floats an index-by-index walk gives.
 """
 
 from __future__ import annotations
@@ -26,10 +33,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from itertools import chain, islice, repeat
+from operator import add, mul, sub, truediv
+from typing import Iterable, Iterator, Sequence
 
-from .series import _check_order, _ladder
-from .stream import Triple, _a_values, _check_seq, _recorded, _rows, _runs
+from .series import _check_order, _ladder_column
+from .stream import _a_values, _check_seq, _recorded, _runs
 
 __all__ = [
     "CHECK_NAMES",
@@ -344,29 +354,28 @@ def check_all(upto: int) -> tuple[CheckReport, CheckReport, CheckReport]:
     return _run_checks(upto, CHECK_NAMES)
 
 
-def _series_parts(seq: str, order: int, row: Triple) -> tuple[int, float, float, float]:
-    """(exact, series, remainder, scaled) for one row of one sequence.
+def _remainder_columns(
+    seq: str, order: int, ns: Sequence[int], exact: Sequence[int]
+) -> tuple[list[float], list[float], Iterator[float]]:
+    """(series tails, remainders, scaled remainders) at the indices ns.
 
-    For b everything except the reported exact and series values is taken
-    from the u computation, since the two differ by exactly n on both the
-    exact and the series side.  For a the remainder subtracts the n^2/2
-    head in integers before any float enters, to dodge cancellation.  The
-    next rung (n/2)^(1/2^(order+1)) is one square root past the last rung
-    of the ladder that summed the series.
+    `exact` holds u_n at each n for "u" and "b", and e_n = 2 a_n - n^2 for
+    "a".  The b remainder is the u remainder, since b and its series both
+    exceed u and its series by exactly n; the series tail is the u-series.
+    For a, the n^2/2 head is subtracted in integers (inside e_n) before
+    any float enters, to dodge cancellation, and the tail is the a-series
+    without its head.  The next rung (n/2)^(1/2^(order+1)) is one square
+    root past the last rung of the ladder that summed the series.
     """
-    n = row.n
     if seq == "a":
-        tail, rung = _ladder(n, order, "a")
-        series = n * n / 2 + tail
-        remainder = (2 * row.a - n * n) / 2 - tail
-        scaled = remainder / ((n / 2) * math.sqrt(rung))
-        return row.a, series, remainder, scaled
-    u_series, rung = _ladder(n, order, "u")
-    remainder = row.u - u_series
-    scaled = remainder / math.sqrt(rung)
-    if seq == "b":
-        return row.b, n + u_series, remainder, scaled
-    return row.u, u_series, remainder, scaled
+        tails, rungs = _ladder_column(ns, order, "a")
+        remainders = list(map(sub, map(truediv, exact, repeat(2)), tails))
+        scales = map(mul, map(truediv, ns, repeat(2)), map(math.sqrt, rungs))
+    else:
+        tails, rungs = _ladder_column(ns, order, "u")
+        remainders = list(map(sub, exact, tails))
+        scales = map(math.sqrt, rungs)
+    return tails, remainders, map(truediv, remainders, scales)
 
 
 def _check_ns(ns: Sequence[int]) -> None:
@@ -377,19 +386,62 @@ def _check_ns(ns: Sequence[int]) -> None:
         raise ValueError("ns must be strictly increasing positive integers")
 
 
+def _check_decades(lo: int, hi: int) -> None:
+    """Raise ValueError unless 0 <= lo <= hi, a span of decades [10^lo, 10^(hi+1))."""
+    if lo < 0 or hi < lo:
+        raise ValueError("need 0 <= first decade <= last decade")
+
+
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
     """RemainderRow for each requested index, each reached by O(sqrt n) jump-ahead.
 
     ns must be non-empty and strictly increasing; order is the truncation
-    depth whose next rung scales the remainder.
+    depth whose next rung scales the remainder.  The series of all the
+    rows are summed as one column.
     """
     _check_seq(seq)
     _check_order(order)
     _check_ns(ns)
-    return [
-        RemainderRow(n, order, *_series_parts(seq, order, next(_rows(n))))
-        for n in ns
-    ]
+    # The first window from n starts with a_n, b_n = first and u_n = k.
+    heads = [next(_runs(n))[1:] for n in ns]
+    if seq == "a":
+        exact = [2 * a - n * n for n, (a, _, _, _) in zip(ns, heads)]
+    else:
+        exact = [k for _, _, _, k in heads]
+    tails, remainders, scaled = _remainder_columns(seq, order, ns, exact)
+    rows = []
+    for n, (a, b, _, u), tail, remainder, scale in zip(ns, heads, tails, remainders, scaled):
+        if seq == "a":
+            rows.append(RemainderRow(n, order, a, n * n / 2 + tail, remainder, scale))
+        elif seq == "b":
+            rows.append(RemainderRow(n, order, b, n + tail, remainder, scale))
+        else:
+            rows.append(RemainderRow(n, order, u, tail, remainder, scale))
+    return rows
+
+
+# Indices per column of decade_remainder_means: the bound on its working
+# memory, and long enough that the per-column overhead is small.
+_CHUNK = 1024
+
+
+def _exact_column(seq: str, start: int) -> Iterator[int]:
+    """u_n ("u", "b") or e_n = 2 a_n - n^2 ("a") for n = start, start + 1, ...
+
+    On a window of constant u = k, e_n steps by e_{n+1} - e_n = 2 b_n - 2n
+    - 1 = 2k - 1, so each window's part of either column is one range or
+    repeat, and the column is their C-level chain.
+    """
+
+    def parts() -> Iterator[Iterable[int]]:
+        for n, a, first, hi, k in _runs(start):
+            if seq == "a":
+                e, step = 2 * a - n * n, 2 * k - 1
+                yield range(e, e + step * (hi - first), step)
+            else:
+                yield repeat(k, hi - first)
+
+    return chain.from_iterable(parts())
 
 
 def decade_remainder_means(
@@ -399,26 +451,28 @@ def decade_remainder_means(
 
     One streaming pass covering d = first_decade..last_decade, started by
     jump-ahead at 10^first_decade; the means drift toward the next
-    coefficient as the decades climb.
+    coefficient as the decades climb.  The pass walks the windows of
+    constant u from there and evaluates one column of at most _CHUNK
+    (1024) consecutive indices at a time, never crossing a decade: the
+    series ladder is climbed once for the whole column, and the exact
+    values are read off the windows, u = k throughout one and e_n = 2 a_n
+    - n^2 stepping by 2k - 1, with no per-index big-integer product.  So
+    the working memory is bounded by one column, whatever the span.  Each
+    decade's scaled values are added one at a time, left to right in index
+    order, not by sum(), which compensates from Python 3.12 on; so every
+    mean equals, bit for bit, the one a walk index by index gives.
     """
     _check_seq(seq)
     _check_order(order)
-    if first_decade < 0 or last_decade < first_decade:
-        raise ValueError("need 0 <= first_decade <= last_decade")
-    lo = 10**first_decade
-    hi = 10 ** (last_decade + 1)  # exclusive
-    sums = [0.0] * (last_decade - first_decade + 1)
-    counts = [0] * len(sums)
-    slot, boundary = 0, 10 * lo
-    for row in _rows(lo):
-        if row.n >= hi:
-            break
-        if row.n >= boundary:
-            slot += 1
-            boundary *= 10
-        sums[slot] += _series_parts(seq, order, row)[3]
-        counts[slot] += 1
-    return [
-        (first_decade + i, sums[i] / counts[i])
-        for i in range(len(sums))
-    ]
+    _check_decades(first_decade, last_decade)
+    column = _exact_column(seq, 10**first_decade)
+    means = []
+    for decade in range(first_decade, last_decade + 1):
+        lo, hi = 10**decade, 10 ** (decade + 1)
+        total = 0.0
+        for start in range(lo, hi, _CHUNK):
+            ns = range(start, min(start + _CHUNK, hi))
+            exact = list(islice(column, len(ns)))
+            total = reduce(add, _remainder_columns(seq, order, ns, exact)[2], total)
+        means.append((decade, total / (hi - lo)))
+    return means

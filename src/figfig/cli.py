@@ -23,7 +23,7 @@ from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .bfile import compare_reference, parse_bfile
-from .checks import CHECK_NAMES, CheckReport, _check_ns, _run_checks, remainder_table
+from .checks import CHECK_NAMES, CheckReport, _check_decades, _check_ns, _run_checks, remainder_table
 from .series import _check_order, a_coeff, eval_a_series, eval_b_series, eval_u_series, u_coeff
 from .stream import _runs
 
@@ -98,9 +98,7 @@ def _decades_arg(text: str) -> tuple[int, int]:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected lo:hi with integer decades") from None
-    if lo < 0 or hi < lo:
-        raise argparse.ArgumentTypeError("need 0 <= lo <= hi")
-    return lo, hi
+    return _checked(lambda span: _check_decades(*span), (lo, hi))
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:

@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, truediv
+from typing import Sequence
 
 __all__ = [
     "MAX_ORDER",
@@ -109,6 +112,27 @@ def _ladder(n: int, order: int, summed: str) -> tuple[float, float]:
         root = math.sqrt(root)
         total += coeff * root * scale
     return total, root
+
+
+def _ladder_column(
+    ns: Sequence[int], order: int, summed: str
+) -> tuple[list[float], list[float]]:
+    """_ladder at every index of ns, as (sums, last rungs) lists in the order of ns.
+
+    Each rung is climbed once for the whole column, with the same float
+    operations in the same order as _ladder takes for each index alone,
+    so every entry equals _ladder(n, order, summed) bit for bit.  The u
+    terms skip _ladder's multiplication by 1.0, which changes no bit.
+    """
+    halves = list(map(truediv, ns, repeat(2)))
+    roots, totals = halves, repeat(0.0)
+    for coeff in _floats(summed)[:order]:
+        roots = list(map(math.sqrt, roots))
+        terms = map(mul, repeat(coeff), roots)
+        if summed == "a":
+            terms = map(mul, terms, halves)
+        totals = list(map(add, totals, terms))
+    return totals, roots
 
 
 def eval_u_series(n: int, order: int) -> float:

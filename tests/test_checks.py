@@ -1,8 +1,11 @@
 """Check reports, exact bound predicates, and remainder diagnostics."""
 
 import math
+import tracemalloc
 from collections import deque
+from functools import reduce
 from itertools import islice, takewhile
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +27,9 @@ from figfig import (
 )
 from figfig import checks
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
-from figfig.stream import Triple, _a_values
+from figfig.series import _ladder
+from figfig.stream import Triple, _a_values, _rows
+from oracle import oracle_triples
 
 CHECK_NAMES = ("partition", "identities", "bounds")
 CHECKS = (check_partition, check_identities, check_bounds)
@@ -171,10 +176,11 @@ def test_decade_means_validations():
         decade_remainder_means("u", 1, 3, 2)
 
 
-def _two_ladder_row(seq, order, n):
+def _two_ladder_row(seq, order, n, value=value_at):
     """The remainder row as computed with a separate ladder for the next
     rung: the series sum climbs `order` square roots from n/2, then the
-    rung climbs `order + 1` more from n/2 again."""
+    rung climbs `order + 1` more from n/2 again.  `value(seq, n)` gives
+    the exact terms."""
     half = n / 2
     root, u_series, a_tail = half, 0.0, 0.0
     for k in range(1, order + 1):
@@ -184,11 +190,11 @@ def _two_ladder_row(seq, order, n):
     rung = half
     for _ in range(order + 1):
         rung = math.sqrt(rung)
-    exact = value_at(seq, n)
+    exact = value(seq, n)
     if seq == "a":
         remainder = (2 * exact - n * n) / 2 - a_tail
         return RemainderRow(n, order, exact, n * n / 2 + a_tail, remainder, remainder / (half * rung))
-    remainder = value_at("u", n) - u_series
+    remainder = value("u", n) - u_series
     series = n + u_series if seq == "b" else u_series
     return RemainderRow(n, order, exact, series, remainder, remainder / rung)
 
@@ -198,6 +204,95 @@ def test_one_ladder_remainders_are_bit_identical(seq):
     ns = [1, 2, 3, 8, 99, 1000, 12_345, 10**6 + 7, 10**9]
     for order in (1, 2, 3, 7, 20, 63, 64):
         assert remainder_table(seq, order, ns) == [_two_ladder_row(seq, order, n) for n in ns]
+
+
+def reference_series_parts(seq, order, row):
+    """(exact, series, remainder, scaled) at one row, by the scalar ladder:
+    the per-row path that the column-at-a-time remainder tools replaced."""
+    n = row.n
+    if seq == "a":
+        tail, rung = _ladder(n, order, "a")
+        remainder = (2 * row.a - n * n) / 2 - tail
+        return row.a, n * n / 2 + tail, remainder, remainder / ((n / 2) * math.sqrt(rung))
+    u_series, rung = _ladder(n, order, "u")
+    remainder = row.u - u_series
+    scaled = remainder / math.sqrt(rung)
+    if seq == "b":
+        return row.b, n + u_series, remainder, scaled
+    return row.u, u_series, remainder, scaled
+
+
+def reference_decade_means(seq, order, first_decade, last_decade):
+    """The row-at-a-time decade means that the column-at-a-time ones
+    replaced, kept as the reference: one Triple and one scalar ladder per
+    index, each scaled remainder added to its decade's sum in turn."""
+    lo = 10**first_decade
+    hi = 10 ** (last_decade + 1)  # exclusive
+    sums = [0.0] * (last_decade - first_decade + 1)
+    counts = [0] * len(sums)
+    slot, boundary = 0, 10 * lo
+    for row in _rows(lo):
+        if row.n >= hi:
+            break
+        if row.n >= boundary:
+            slot += 1
+            boundary *= 10
+        sums[slot] += reference_series_parts(seq, order, row)[3]
+        counts[slot] += 1
+    return [(first_decade + i, sums[i] / counts[i]) for i in range(len(sums))]
+
+
+@pytest.mark.parametrize("seq", ["a", "b", "u"])
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 20, 63, 64])
+def test_decade_means_match_the_row_at_a_time_reference(seq, order):
+    for span in ((0, 0), (0, 3), (2, 3)):
+        assert decade_remainder_means(seq, order, *span) == reference_decade_means(seq, order, *span)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seq=st.sampled_from("abu"),
+    order=st.integers(1, 64),
+    span=st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted),
+    chunk=st.one_of(st.integers(1, 40), st.integers(41, 2048)),
+)
+def test_decade_means_match_the_reference_at_any_column_size(seq, order, span, chunk):
+    # Columns of any size put their edges inside windows of constant u and
+    # on decade boundaries alike; none changes a bit of the means.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "_CHUNK", chunk)
+        assert decade_remainder_means(seq, order, *span) == reference_decade_means(seq, order, *span)
+
+
+@pytest.mark.parametrize("seq", ["a", "b", "u"])
+@pytest.mark.parametrize("order", [1, 2, 3, 64])
+def test_decade_means_match_the_oracle(seq, order):
+    # Exact terms from the brute-force oracle, series from the two-ladder
+    # arithmetic, each decade summed left to right.
+    table = oracle_triples(999)
+
+    def value(name, n):
+        return table[n - 1]["nabu".index(name)]
+
+    expected = []
+    for decade in range(3):
+        lo, hi = 10**decade, 10 ** (decade + 1)
+        scaled = (_two_ladder_row(seq, order, n, value).scaled for n in range(lo, hi))
+        expected.append((decade, reduce(add, scaled, 0.0) / (hi - lo)))
+    assert decade_remainder_means(seq, order, 0, 2) == expected
+
+
+def test_decade_means_work_in_bounded_memory():
+    # One column of at most 1024 indices is held at a time, so the peak is
+    # fixed by the column size, not by the 10^5 indices walked.
+    decade_remainder_means("a", 3, 0, 0)  # build the cached coefficients first
+    tracemalloc.start()
+    try:
+        decade_remainder_means("a", 3, 1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_remainder_table_reaches_far_indices():
@@ -439,7 +534,7 @@ def _report(name, failure):
 
 def test_fault_table_corrupts_real_values():
     for index, changes, _ in FAULTS.values():
-        row = next(checks._rows(index))
+        row = next(_rows(index))
         assert all(getattr(row, key) != value for key, value in changes.items())
 
 
@@ -565,7 +660,7 @@ def faulty_runs(draw):
         ends = [w[:2] for w in WINDOWS if w[place == "window_last"] <= upto + 1]
         index = draw(st.sampled_from(ends))[place == "window_last"]
     field = draw(st.sampled_from(["a", "b", "u"]))
-    row = next(checks._rows(index))
+    row = next(_rows(index))
     true_value = getattr(row, field)
     # A value off by a little or a lot, one near the row's own b, or one
     # among those the partition covers up to upto.

@@ -325,8 +325,12 @@ def test_remainder_rejects_bad_points(capsys, ns):
 
 
 def test_remainder_rejects_bad_decades(capsys):
-    code, _, _ = run(capsys, "remainder", "--seq", "u", "--order", "1", "--decades", "5:2")
+    code, _, err = run(capsys, "remainder", "--seq", "u", "--order", "1", "--decades", "5:2")
     assert code == 2
+    assert err.startswith("usage: figfig remainder ")
+    assert err.splitlines()[-1] == (
+        "figfig remainder: error: argument --decades: need 0 <= first decade <= last decade"
+    )
 
 
 def test_verify_all_passes(capsys):
