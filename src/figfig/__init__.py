@@ -5,58 +5,56 @@ A030124) together with the counting companion (A225687), exact rational
 coefficients of their fractional-power expansions, truncated-series
 evaluation, streamed verification of the defining laws and bounds, and
 OEIS b-file round-tripping.
-"""
 
-from .bfile import BFileFormatError, BFileRecord, compare_reference, parse_bfile, write_bfile
-from .checks import (
-    CheckReport,
-    RemainderRow,
-    check_all,
-    check_bounds,
-    check_identities,
-    check_partition,
-    decade_remainder_means,
-    remainder_table,
-)
-from .cli import main, run_cli
-from .series import (
-    MAX_ORDER,
-    a_coeff,
-    eval_a_series,
-    eval_b_series,
-    eval_u_series,
-    root_pow,
-    u_coeff,
-)
-from .stream import SEQUENCE_IDS, Triple, TripleStream, value_at
+Importing the package loads none of its modules.  Each public name is
+imported from its home module (listed in _HOMES) on first access and
+then kept here, so a caller pays only for the modules it uses:
+`eval_u_series` loads `figfig.series` alone, without `fractions`, and
+`check_all` loads the stream, the checks and the series, but no b-file
+code.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BFileFormatError",
-    "BFileRecord",
-    "CheckReport",
-    "MAX_ORDER",
-    "RemainderRow",
-    "SEQUENCE_IDS",
-    "Triple",
-    "TripleStream",
-    "a_coeff",
-    "check_all",
-    "check_bounds",
-    "check_identities",
-    "check_partition",
-    "compare_reference",
-    "decade_remainder_means",
-    "eval_a_series",
-    "eval_b_series",
-    "eval_u_series",
-    "main",
-    "parse_bfile",
-    "remainder_table",
-    "root_pow",
-    "run_cli",
-    "u_coeff",
-    "value_at",
-    "write_bfile",
-]
+# Each public name and the module that defines it.
+_HOMES = {
+    name: module
+    for module, names in (
+        ("bfile", ("BFileFormatError", "BFileRecord", "compare_reference", "parse_bfile", "write_bfile")),
+        (
+            "checks",
+            (
+                "CheckReport",
+                "RemainderRow",
+                "check_all",
+                "check_bounds",
+                "check_identities",
+                "check_partition",
+                "decade_remainder_means",
+                "remainder_table",
+            ),
+        ),
+        ("cli", ("main", "run_cli")),
+        ("series", ("MAX_ORDER", "a_coeff", "eval_a_series", "eval_b_series", "eval_u_series", "root_pow", "u_coeff")),
+        ("stream", ("SEQUENCE_IDS", "Triple", "TripleStream", "value_at")),
+    )
+    for name in names
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

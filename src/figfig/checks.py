@@ -39,7 +39,7 @@ from operator import add, mul, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .series import _check_order, _ladder_column
-from .stream import _a_values, _check_seq, _recorded, _runs
+from .stream import CHECK_NAMES, _a_values, _check_seq, _recorded, _runs
 
 __all__ = [
     "CHECK_NAMES",
@@ -256,10 +256,8 @@ class _Bounds:
         return failure is not None or n == self.upto
 
 
-# Each law check, in the order check_all and `figfig verify --check all`
-# report them.
-_CHECKS = {"partition": _Partition, "identities": _Identities, "bounds": _Bounds}
-CHECK_NAMES = tuple(_CHECKS)
+# Each law check by name, in the order of CHECK_NAMES.
+_CHECKS = dict(zip(CHECK_NAMES, (_Partition, _Identities, _Bounds)))
 
 
 def _run_checks(upto: int, names: Sequence[str]) -> tuple[CheckReport, ...]:
@@ -392,25 +390,44 @@ def _check_decades(lo: int, hi: int) -> None:
         raise ValueError("need 0 <= first decade <= last decade")
 
 
+def _heads(ns: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(a_n, b_n, u_n) at each index of ns (strictly increasing, >= 1).
+
+    One walk of the windows of constant u, started by jump-ahead at
+    ns[0]: the window (m, a, first, hi, k) holding n gives, with d = n - m,
+    b_n = first + d, u_n = k and a_n = a + d first + d (d - 1) / 2.
+    """
+    windows = _runs(ns[0])
+    m, a, first, hi, k = next(windows)
+    heads = []
+    for n in ns:
+        while n - m >= hi - first:
+            m, a, first, hi, k = next(windows)
+        d = n - m
+        heads.append((a + d * first + d * (d - 1) // 2, first + d, k))
+    return heads
+
+
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
-    """RemainderRow for each requested index, each reached by O(sqrt n) jump-ahead.
+    """RemainderRow for each requested index, all read off one walk of the stream.
 
     ns must be non-empty and strictly increasing; order is the truncation
-    depth whose next rung scales the remainder.  The series of all the
-    rows are summed as one column.
+    depth whose next rung scales the remainder.  The walk starts by
+    O(sqrt n) jump-ahead at the first index and goes on window by window
+    to the last, so it costs no more than one jump to the last index.
+    The series of all the rows are summed as one column.
     """
     _check_seq(seq)
     _check_order(order)
     _check_ns(ns)
-    # The first window from n starts with a_n, b_n = first and u_n = k.
-    heads = [next(_runs(n))[1:] for n in ns]
+    heads = _heads(ns)
     if seq == "a":
-        exact = [2 * a - n * n for n, (a, _, _, _) in zip(ns, heads)]
+        exact = [2 * a - n * n for n, (a, _, _) in zip(ns, heads)]
     else:
-        exact = [k for _, _, _, k in heads]
+        exact = [u for _, _, u in heads]
     tails, remainders, scaled = _remainder_columns(seq, order, ns, exact)
     rows = []
-    for n, (a, b, _, u), tail, remainder, scale in zip(ns, heads, tails, remainders, scaled):
+    for n, (a, b, u), tail, remainder, scale in zip(ns, heads, tails, remainders, scaled):
         if seq == "a":
             rows.append(RemainderRow(n, order, a, n * n / 2 + tail, remainder, scale))
         elif seq == "b":

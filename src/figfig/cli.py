@@ -10,28 +10,31 @@ standard error.  An --out file is replaced atomically: it is written under
 a temporary name in the same directory and renamed onto the target only
 when complete, so a failed or interrupted run leaves any earlier file as
 it was and no partial file behind.
+
+Each subcommand imports what it alone uses, when it runs: `gen` only the
+stream; `verify` and `remainder` the law checks, which bring the series;
+`approx` the series; `coeffs` the series and `fractions`; `compare` the
+b-file reader, which brings the checks; and only `remainder --format
+jsonl` imports `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .bfile import compare_reference, parse_bfile
-from .checks import CHECK_NAMES, CheckReport, _check_decades, _check_ns, _run_checks, remainder_table
-from .series import _check_order, a_coeff, eval_a_series, eval_b_series, eval_u_series, u_coeff
-from .stream import _runs
+from .stream import CHECK_NAMES, _runs
+
+if TYPE_CHECKING:
+    from .checks import CheckReport
 
 __all__ = ["main", "run_cli"]
 
 _OK, _FAILED, _USAGE, _INTERRUPTED = 0, 1, 2, 130
-
-_EVALUATORS = {"a": eval_a_series, "b": eval_b_series, "u": eval_u_series}
 
 # `figfig gen`: (seq, format) -> (header, line template over the columns
 # n, a, b, u by position).  The jsonl lines are the bytes json.dumps gives
@@ -75,6 +78,8 @@ def _checked(check, value):
 
 
 def _order_arg(text: str) -> int:
+    from .series import _check_order
+
     try:
         value = int(text)
     except ValueError:
@@ -83,6 +88,8 @@ def _order_arg(text: str) -> int:
 
 
 def _ns_arg(text: str) -> list[int]:
+    from .checks import _check_ns
+
     try:
         values = [int(part) for part in text.split(",")]
     except ValueError:
@@ -91,6 +98,8 @@ def _ns_arg(text: str) -> list[int]:
 
 
 def _decades_arg(text: str) -> tuple[int, int]:
+    from .checks import _check_decades
+
     lo_text, sep, hi_text = text.partition(":")
     try:
         if not sep:
@@ -173,6 +182,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_coeffs(args: argparse.Namespace) -> int:
+    from .series import a_coeff, u_coeff
+
     coeff = u_coeff if args.series == "u" else a_coeff
     line = ", ".join(str(coeff(k)) for k in range(1, args.order + 1)) + "\n"
     _emit([line], args.out)
@@ -180,7 +191,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    evaluate = _EVALUATORS[args.seq]
+    from .series import eval_a_series, eval_b_series, eval_u_series
+
+    evaluate = {"a": eval_a_series, "b": eval_b_series, "u": eval_u_series}[args.seq]
     lines = ["n,series\n"]
     lines += [f"{n},{_real(evaluate(n, args.order))}\n" for n in args.n]
     _emit(lines, args.out)
@@ -188,6 +201,8 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_remainder(args: argparse.Namespace) -> int:
+    from .checks import remainder_table
+
     ns = args.ns if args.ns else [10**d for d in range(args.decades[0], args.decades[1] + 1)]
     rows = remainder_table(args.seq, args.order, ns)
     print(
@@ -202,6 +217,8 @@ def _cmd_remainder(args: argparse.Namespace) -> int:
             for r in rows
         ]
     else:
+        import json
+
         lines = [
             json.dumps(
                 {
@@ -221,6 +238,8 @@ def _cmd_remainder(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import _run_checks
+
     names = CHECK_NAMES if args.check == "all" else (args.check,)
     reports = _run_checks(args.upto, names)
     for report in reports:
@@ -229,6 +248,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .bfile import compare_reference, parse_bfile
+
     with open(args.bfile, "r", encoding="utf-8") as source:
         records = parse_bfile(source)
     report = compare_reference(records, args.seq)

@@ -11,17 +11,25 @@ Coefficients are kept as Fractions so truncations of any order agree
 digit for digit across runs.  Evaluation is ordinary double precision:
 the fractional powers come from repeated square roots, which keeps every
 intermediate in range and loses well under 1e-12 relative accuracy for
-arguments up to 1e18.
+arguments up to 1e18.  An index whose head term leaves the double range
+raises ValueError: n/2 for the u-series (n from about 3.6e308), n for
+the b-series (from about 1.8e308) and n^2/2 for the a-series (from
+about 1.9e154).
+
+The evaluators take their float coefficients straight from the exact
+integer ratios, so `fractions` is imported only by u_coeff and a_coeff.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, truediv
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MAX_ORDER",
@@ -53,6 +61,19 @@ def _check_order(order: int) -> None:
         raise ValueError(f"series order must be in 1..{MAX_ORDER}")
 
 
+def _ratio(k: int, summed: str) -> tuple[int, int]:
+    """(p, q), p / q the coefficient at position k of the u-series ("u") or the a-series ("a").
+
+    The one home of the coefficient formula; p and q are not reduced.
+    """
+    _check_position(k)
+    p = (-1) ** (k + 1) * 2 ** (1 + (k - 1) * k // 2)
+    q = math.prod(2**j + 1 for j in range(1, k))
+    if summed == "a":
+        p, q = p * 2 ** (k + 1), q * (2**k + 1)
+    return p, q
+
+
 @lru_cache(maxsize=None)
 def u_coeff(k: int) -> Fraction:
     """Exact coefficient of (n/2)^(1/2^k) in the u-series.
@@ -61,9 +82,9 @@ def u_coeff(k: int) -> Fraction:
     Successive magnitudes shrink by 2^k / (2^k + 1) and settle toward a
     limit just below 0.84.
     """
-    _check_position(k)
-    denominator = math.prod(2**j + 1 for j in range(1, k))
-    return Fraction((-1) ** (k + 1) * 2 ** (1 + (k - 1) * k // 2), denominator)
+    from fractions import Fraction
+
+    return Fraction(*_ratio(k, "u"))
 
 
 @lru_cache(maxsize=None)
@@ -73,8 +94,9 @@ def a_coeff(k: int) -> Fraction:
     Term-by-term summation of the u-series scales position k by
     2^(k+1) / (2^k + 1), giving 8/3, -32/15, 256/135, ...
     """
-    _check_position(k)
-    return u_coeff(k) * Fraction(2 ** (k + 1), 2**k + 1)
+    from fractions import Fraction
+
+    return Fraction(*_ratio(k, "a"))
 
 
 def root_pow(x: float, k: int) -> float:
@@ -91,8 +113,9 @@ def root_pow(x: float, k: int) -> float:
 def _floats(summed: str) -> tuple[float, ...]:
     # The coefficients of one family as floats, positions 1..MAX_ORDER.
     # Built on first use, not at import, which every CLI run would pay.
-    coeff = u_coeff if summed == "u" else a_coeff
-    return tuple(float(coeff(k)) for k in range(1, MAX_ORDER + 1))
+    # Int / int true division is correctly rounded, so p / q is the same
+    # double as float(Fraction(p, q)).
+    return tuple(p / q for p, q in (_ratio(k, summed) for k in range(1, MAX_ORDER + 1)))
 
 
 def _ladder(n: int, order: int, summed: str) -> tuple[float, float]:
@@ -135,20 +158,35 @@ def _ladder_column(
     return totals, roots
 
 
+def _too_large(what: str) -> ValueError:
+    return ValueError(f"index too large for double-precision series: {what} exceeds the float range")
+
+
 def eval_u_series(n: int, order: int) -> float:
     """Truncated u-series at index n, positions 1..order summed in order."""
     _check_index(n)
     _check_order(order)
-    return _ladder(n, order, "u")[0]
+    try:
+        return _ladder(n, order, "u")[0]
+    except OverflowError:  # n / 2, the ladder's first step
+        raise _too_large("n/2") from None
 
 
 def eval_b_series(n: int, order: int) -> float:
     """Truncated b-series at index n: exactly n plus the u-series value."""
-    return n + eval_u_series(n, order)
+    u = eval_u_series(n, order)
+    try:
+        return n + u
+    except OverflowError:
+        raise _too_large("n") from None
 
 
 def eval_a_series(n: int, order: int) -> float:
     """Truncated a-series at index n: n^2/2 plus the summed tail."""
     _check_index(n)
     _check_order(order)
-    return n * n / 2 + _ladder(n, order, "a")[0]
+    try:
+        head = n * n / 2
+    except OverflowError:
+        raise _too_large("n^2/2") from None
+    return head + _ladder(n, order, "a")[0]

@@ -39,6 +39,12 @@ __all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
 
 SEQUENCE_IDS = ("a", "b", "u")
 
+# The law checks of figfig.checks, in the order check_all and `figfig
+# verify --check all` report them.  Kept here, in the module every
+# command loads, so the command line can offer them without loading the
+# checks.
+CHECK_NAMES = ("partition", "identities", "bounds")
+
 
 def _check_seq(seq: str) -> None:
     """Raise ValueError unless `seq` is one of SEQUENCE_IDS."""

@@ -28,7 +28,7 @@ from figfig import (
 from figfig import checks
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
 from figfig.series import _ladder
-from figfig.stream import Triple, _a_values, _rows
+from figfig.stream import Triple, _a_values, _rows, _runs
 from oracle import oracle_triples
 
 CHECK_NAMES = ("partition", "identities", "bounds")
@@ -300,6 +300,50 @@ def test_remainder_table_reaches_far_indices():
     assert row.exact == value_at("u", 10**9)
     assert row.series == eval_u_series(10**9, 1)
     assert row.remainder == row.exact - row.series
+
+
+def jump_heads(ns):
+    """(a_n, b_n, u_n) at each n, each by its own jump from index 1: the
+    per-index path that the one walk of remainder_table replaced, kept as
+    the reference."""
+    heads = []
+    for n in ns:
+        _, a, first, _, k = next(_runs(n))
+        heads.append((a, first, k))
+    return heads
+
+
+def assert_one_walk_matches_jumps(ns):
+    assert checks._heads(ns) == jump_heads(ns)
+    for seq in "abu":
+        assert remainder_table(seq, 2, ns) == [remainder_table(seq, 2, [n])[0] for n in ns]
+
+
+# WINDOWS (below) lists (first index, last index, first b, hi) of the
+# windows of constant u up to index 20_001, the window of u = k at k - 1.
+def test_one_walk_several_indices_in_one_window():
+    first, last, _, _ = WINDOWS[49]  # u = 50
+    assert last - first > 6
+    assert_one_walk_matches_jumps([first + 1, first + 3, last - 1])
+    assert_one_walk_matches_jumps(list(range(first, last + 1)))
+
+
+def test_one_walk_at_window_ends():
+    for first, last, _, _ in (WINDOWS[0], WINDOWS[1], WINDOWS[2], WINDOWS[99], WINDOWS[-2]):
+        assert_one_walk_matches_jumps(sorted({first, last, last + 1}))  # u = 1 has one index
+    assert_one_walk_matches_jumps([first for first, _, _, _ in WINDOWS])
+    assert_one_walk_matches_jumps([last for _, last, _, _ in WINDOWS])
+
+
+def test_one_walk_across_many_windows():
+    assert_one_walk_matches_jumps(list(range(1, 20_000, 37)))
+    assert_one_walk_matches_jumps([1, 10, 1000, 10**5, 10**6 + 7])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(1, 20_000), min_size=1, max_size=40).map(sorted))
+def test_one_walk_matches_jumps_anywhere(ns):
+    assert_one_walk_matches_jumps(ns)
 
 
 def flat_rows(windows):

@@ -285,6 +285,16 @@ def test_approx_formats_fifteen_significant_digits(capsys):
     assert out == "n,series\n8,2.11438191683587\n"
 
 
+@pytest.mark.parametrize("seq, n", [("u", "1" + "0" * 400), ("b", "1" + "0" * 309), ("a", "1" + "0" * 155)])
+def test_approx_past_the_double_range_is_an_input_error(capsys, seq, n):
+    # The last --n is too large for a double-precision series; nothing is
+    # written for the good one before it.
+    code, out, err = run(capsys, "approx", "--seq", seq, "--order", "1", "--n", "8", "--n", n)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: index too large for double-precision series: ")
+    assert err.count("\n") == 1
+
+
 def test_remainder_named_points(capsys):
     code, out, err = run(capsys, "remainder", "--seq", "u", "--order", "1", "--ns", "2,8")
     assert code == 0

@@ -1,0 +1,86 @@
+"""What importing the package and running each command loads, and the
+public names the package hands out on first access."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import figfig
+
+def loaded_after(code, *argv):
+    """The names in sys.modules at the end of a fresh interpreter running code."""
+    report = "\nprint('\\n'.join(sys.modules), file=sys.stderr)"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + code + report, *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines())
+
+
+def loaded_by_cli(*argv):
+    """sys.modules at the end of one run_cli call, the body of the `figfig` script."""
+    code = "from figfig.cli import run_cli\nstatus = run_cli(sys.argv[1:])\nassert status == 0"
+    return loaded_after(code, *argv)
+
+
+def test_bare_import_loads_no_module_of_the_package():
+    loaded = loaded_after("import figfig")
+    assert "figfig" in loaded
+    assert not {name for name in loaded if name.startswith("figfig.")}
+    assert not loaded & {"argparse", "dataclasses", "fractions", "decimal", "json"}
+
+
+@pytest.mark.parametrize("call, modules", [
+    ("figfig.eval_u_series(2, 64)\nfigfig.eval_a_series(2, 64)", {"figfig.series"}),
+    ("figfig.check_all(100)", {"figfig.checks", "figfig.series", "figfig.stream"}),
+])
+def test_library_calls_load_only_their_modules(call, modules):
+    loaded = loaded_after("import figfig\n" + call)
+    assert {name for name in loaded if name.startswith("figfig.")} == modules
+    assert not loaded & {"fractions", "decimal", "json", "argparse"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (("gen", "--seq", "a", "--count", "10"), {"stream"}),
+    (("verify", "--check", "all", "--upto", "100"), {"stream", "checks", "series"}),
+    (("approx", "--seq", "a", "--order", "3", "--n", "1000"), {"stream", "series"}),
+])
+def test_commands_load_only_their_modules(argv, modules):
+    # None of them loads the b-file code, fractions, decimal or json; gen
+    # does not load the checks.
+    loaded = loaded_by_cli(*argv)
+    assert {name for name in loaded if name.startswith("figfig.")} == {"figfig.cli"} | {
+        f"figfig.{module}" for module in modules
+    }
+    assert not loaded & {"fractions", "decimal", "json"}
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    assert sorted(figfig.__all__) == figfig.__all__
+    assert len(figfig.__all__) == 26
+    for name in figfig.__all__:
+        home = importlib.import_module(f"figfig.{figfig._HOMES[name]}")
+        assert getattr(figfig, name) is getattr(home, name), name
+        assert name in home.__all__, name
+
+
+def test_dir_lists_every_public_name():
+    assert set(figfig.__all__) <= set(dir(figfig))
+    assert "__version__" in dir(figfig)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from figfig import *", namespace)
+    for name in figfig.__all__:
+        assert namespace[name] is getattr(figfig, name), name
+
+
+def test_unknown_attribute_raises_the_standard_error():
+    with pytest.raises(AttributeError, match=r"^module 'figfig' has no attribute 'no_such_name'$"):
+        figfig.no_such_name
+    assert not hasattr(figfig, "_check_order")

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from figfig import series
 from figfig import (
     MAX_ORDER,
     a_coeff,
@@ -152,6 +153,43 @@ def test_eval_a_head_term_dominates():
 def test_eval_domain_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+# The first index whose head term leaves the double range, for each
+# series: ints from 2^1024 - 2^970 on round to 2^1024, past the largest
+# double.  n/2 (u) reaches that at twice the limit, n itself (b) at the
+# limit, and n^2/2 (a) at the first n with n^2 at twice the limit.
+FLOAT_LIMIT = 2**1024 - 2**970
+FIRST_TOO_LARGE = {
+    "u": 2 * FLOAT_LIMIT,
+    "b": FLOAT_LIMIT,
+    "a": math.isqrt(2 * FLOAT_LIMIT - 1) + 1,
+}
+EVALUATORS = {"u": eval_u_series, "b": eval_b_series, "a": eval_a_series}
+
+
+@pytest.mark.parametrize("seq", ["u", "b", "a"])
+@pytest.mark.parametrize("order", [1, MAX_ORDER])
+def test_eval_at_the_edge_of_the_double_range(seq, order):
+    evaluate, first = EVALUATORS[seq], FIRST_TOO_LARGE[seq]
+    assert math.isfinite(evaluate(first - 1, order))
+    for n in (first, first + 1, 10**400):
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            evaluate(n, order)
+
+
+def test_a_series_range_ends_near_1_9e154():
+    assert 1.89e154 < FIRST_TOO_LARGE["a"] < 1.9e154
+
+
+def test_float_coefficients_are_the_rounded_fractions():
+    # The evaluators' coefficients come from integer ratios without
+    # Fraction; they must be the very doubles float(Fraction) gives.
+    for summed, coeff in (("u", u_coeff), ("a", a_coeff)):
+        floats = series._floats(summed)
+        assert len(floats) == MAX_ORDER
+        for k in range(1, MAX_ORDER + 1):
+            assert floats[k - 1].hex() == float(coeff(k)).hex(), (summed, k)
 
 
 # Pins the module docstring's claim: evaluation loses well under 1e-12
