@@ -10,8 +10,8 @@ Importing the package loads none of its modules.  Each public name is
 imported from its home module (listed in _HOMES) on first access and
 then kept here, so a caller pays only for the modules it uses:
 `eval_u_series` loads `figfig.series` alone, without `fractions`, and
-`check_all` loads the stream, the checks and the series, but no b-file
-code.
+`check_all` loads the stream and the checks, but neither the series nor
+any b-file code.
 """
 
 __version__ = "0.1.0"

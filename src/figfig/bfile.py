@@ -9,21 +9,20 @@ at most _CHUNK_LINES lines, so its working memory beyond the records is
 bounded by one chunk, and converts a chunk of plain pairs with a few
 whole-chunk calls; any other chunk goes through the line-by-line parser,
 which gives the same records and the same errors.  `compare_reference`
-checks the records one window of constant u at a time against the
-generator's column for that window, and looks at single values only in
-a window that differs.  `write_bfile` writes one block of lines per
-chunk.
+scans the records against the generator's column of the sequence in
+one C-level pass, and reads a single value only at the first mismatch.
+`write_bfile` writes one block of lines per chunk.
 """
 
 from __future__ import annotations
 
 import io
-from itertools import accumulate, count, islice, repeat, starmap
-from operator import eq, itemgetter
+from itertools import compress, count, islice, repeat, starmap
+from operator import eq, itemgetter, ne
 from typing import IO, Iterable, NamedTuple, Sequence
 
 from .checks import CheckReport
-from .stream import _check_seq, _runs
+from .stream import _check_seq, _column, value_at
 
 __all__ = [
     "BFileFormatError",
@@ -146,14 +145,12 @@ def write_bfile(records: Sequence[BFileRecord], sink: IO[str]) -> None:
 
 
 def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
-    """Jump to the first record's index, walk the generator's windows of
-    constant u over the record range from there, and report the first
-    mismatch.
+    """Jump to the first record's index, walk the generator's column of
+    `seq` over the record range from there, and report the first mismatch.
 
-    Each window's record values are compared as one list with the
-    window's column (b: a range, u: a constant, a: running sums of the
-    b-values from a_n); only a window that differs is scanned value by
-    value for its first mismatch.
+    The record values and the column are compared in one C-level scan that
+    yields the indices where they differ; the first such index is looked
+    up again, by jump-ahead, for the value the report names.
     """
     _check_seq(seq)
     if not records:
@@ -162,23 +159,8 @@ def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
     lo, hi = records[0].index, records[-1].index
     name = f"compare:{seq}"
     found = map(itemgetter(1), records)
-    left = len(records)
-    for n, a, first, end, k in _runs(lo):
-        width = min(end - first, left)
-        if seq == "b":
-            expected = list(range(first, first + width))
-        elif seq == "u":
-            expected = [k] * width
-        else:
-            expected = list(islice(accumulate(range(first, end), initial=a), width))
-        got = list(islice(found, width))
-        if got != expected:
-            for index, want, have in zip(count(n), expected, got):
-                if want != have:
-                    return CheckReport(
-                        name, lo, hi, False,
-                        (index, f"expected {want}, b-file has {have}"),
-                    )
-        left -= width
-        if not left:
-            return CheckReport(name, lo, hi, True, None)
+    index = next(compress(count(lo), map(ne, _column(seq, lo), found)), None)
+    if index is None:
+        return CheckReport(name, lo, hi, True, None)
+    want, have = value_at(seq, index), records[index - lo].value
+    return CheckReport(name, lo, hi, False, (index, f"expected {want}, b-file has {have}"))

@@ -36,10 +36,9 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add, mul, sub, truediv
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .series import _check_order, _ladder_column
-from .stream import CHECK_NAMES, _a_values, _check_seq, _recorded, _runs
+from .stream import CHECK_NAMES, _a_values, _check_seq, _column, _columns, _heads, _recorded, _runs
 
 __all__ = [
     "CHECK_NAMES",
@@ -101,12 +100,7 @@ def a_upper_bound_holds(n: int, a: int) -> bool:
 
 def _walk(check, n: int, a: int, first: int, hi: int, k: int) -> bool:
     """Feed one window's rows to check.row in order: the exact per-row path."""
-    for b in range(first, hi):
-        if check.row(n, a, b, k):
-            return True
-        a += b
-        n += 1
-    return False
+    return any(map(check.row, *_columns(n, a, first, hi, k)))
 
 
 class _Partition:
@@ -365,6 +359,8 @@ def _remainder_columns(
     without its head.  The next rung (n/2)^(1/2^(order+1)) is one square
     root past the last rung of the ladder that summed the series.
     """
+    from .series import _ladder_column
+
     if seq == "a":
         tails, rungs = _ladder_column(ns, order, "a")
         remainders = list(map(sub, map(truediv, exact, repeat(2)), tails))
@@ -390,24 +386,6 @@ def _check_decades(lo: int, hi: int) -> None:
         raise ValueError("need 0 <= first decade <= last decade")
 
 
-def _heads(ns: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(a_n, b_n, u_n) at each index of ns (strictly increasing, >= 1).
-
-    One walk of the windows of constant u, started by jump-ahead at
-    ns[0]: the window (m, a, first, hi, k) holding n gives, with d = n - m,
-    b_n = first + d, u_n = k and a_n = a + d first + d (d - 1) / 2.
-    """
-    windows = _runs(ns[0])
-    m, a, first, hi, k = next(windows)
-    heads = []
-    for n in ns:
-        while n - m >= hi - first:
-            m, a, first, hi, k = next(windows)
-        d = n - m
-        heads.append((a + d * first + d * (d - 1) // 2, first + d, k))
-    return heads
-
-
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
     """RemainderRow for each requested index, all read off one walk of the stream.
 
@@ -417,6 +395,8 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
     to the last, so it costs no more than one jump to the last index.
     The series of all the rows are summed as one column.
     """
+    from .series import _check_order
+
     _check_seq(seq)
     _check_order(order)
     _check_ns(ns)
@@ -445,18 +425,18 @@ _CHUNK = 1024
 def _exact_column(seq: str, start: int) -> Iterator[int]:
     """u_n ("u", "b") or e_n = 2 a_n - n^2 ("a") for n = start, start + 1, ...
 
-    On a window of constant u = k, e_n steps by e_{n+1} - e_n = 2 b_n - 2n
-    - 1 = 2k - 1, so each window's part of either column is one range or
-    repeat, and the column is their C-level chain.
+    The u column is the stream's own.  On a window of constant u = k, e_n
+    steps by e_{n+1} - e_n = 2 b_n - 2n - 1 = 2k - 1, so each window's
+    part of the e column is one range, and the column is their C-level
+    chain.
     """
+    if seq != "a":
+        return _column("u", start)
 
-    def parts() -> Iterator[Iterable[int]]:
+    def parts() -> Iterator[range]:
         for n, a, first, hi, k in _runs(start):
-            if seq == "a":
-                e, step = 2 * a - n * n, 2 * k - 1
-                yield range(e, e + step * (hi - first), step)
-            else:
-                yield repeat(k, hi - first)
+            e, step = 2 * a - n * n, 2 * k - 1
+            yield range(e, e + step * (hi - first), step)
 
     return chain.from_iterable(parts())
 
@@ -479,6 +459,8 @@ def decade_remainder_means(
     order, not by sum(), which compensates from Python 3.12 on; so every
     mean equals, bit for bit, the one a walk index by index gives.
     """
+    from .series import _check_order
+
     _check_seq(seq)
     _check_order(order)
     _check_decades(first_decade, last_decade)

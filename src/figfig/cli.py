@@ -12,7 +12,7 @@ when complete, so a failed or interrupted run leaves any earlier file as
 it was and no partial file behind.
 
 Each subcommand imports what it alone uses, when it runs: `gen` only the
-stream; `verify` and `remainder` the law checks, which bring the series;
+stream; `verify` the law checks; `remainder` the checks and the series;
 `approx` the series; `coeffs` the series and `fractions`; `compare` the
 b-file reader, which brings the checks; and only `remainder --format
 jsonl` imports `json`.
@@ -24,10 +24,10 @@ import argparse
 import os
 import stat
 import sys
-from itertools import accumulate, chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .stream import CHECK_NAMES, _runs
+from .stream import CHECK_NAMES, SEQUENCE_IDS, _columns, _runs
 
 if TYPE_CHECKING:
     from .checks import CheckReport
@@ -164,9 +164,7 @@ def _gen_chunks(template: str, count: int) -> Iterator[str]:
     line, end = template.format, count + 1
     for n, a, first, hi, k in _runs(1):
         width = min(hi - first, end - n)
-        bs = range(first, first + width)
-        rows = map(line, range(n, n + width), accumulate(bs, initial=a), bs, repeat(k, width))
-        yield "".join(rows)
+        yield "".join(map(line, *_columns(n, a, first, first + width, k)))
         if n + width == end:
             return
 
@@ -193,7 +191,7 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 def _cmd_approx(args: argparse.Namespace) -> int:
     from .series import eval_a_series, eval_b_series, eval_u_series
 
-    evaluate = {"a": eval_a_series, "b": eval_b_series, "u": eval_u_series}[args.seq]
+    evaluate = dict(zip(SEQUENCE_IDS, (eval_a_series, eval_b_series, eval_u_series)))[args.seq]
     lines = ["n,series\n"]
     lines += [f"{n},{_real(evaluate(n, args.order))}\n" for n in args.n]
     _emit(lines, args.out)
@@ -201,7 +199,9 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_remainder(args: argparse.Namespace) -> int:
-    from .checks import remainder_table
+    from dataclasses import astuple, fields
+
+    from .checks import RemainderRow, remainder_table
 
     ns = args.ns if args.ns else [10**d for d in range(args.decades[0], args.decades[1] + 1)]
     rows = remainder_table(args.seq, args.order, ns)
@@ -210,29 +210,18 @@ def _cmd_remainder(args: argparse.Namespace) -> int:
         "the bands it is judged against are conventions of this package",
         file=sys.stderr,
     )
+    names = [field.name for field in fields(RemainderRow)]
+    values = list(map(astuple, rows))
     if args.format == "csv":
-        lines = ["n,order,exact,series,remainder,scaled\n"]
+        lines = [",".join(names) + "\n"]
         lines += [
-            f"{r.n},{r.order},{r.exact},{_real(r.series)},{_real(r.remainder)},{_real(r.scaled)}\n"
-            for r in rows
+            ",".join(_real(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in values
         ]
     else:
         import json
 
-        lines = [
-            json.dumps(
-                {
-                    "n": r.n,
-                    "order": r.order,
-                    "exact": r.exact,
-                    "series": r.series,
-                    "remainder": r.remainder,
-                    "scaled": r.scaled,
-                }
-            )
-            + "\n"
-            for r in rows
-        ]
+        lines = [json.dumps(dict(zip(names, row))) + "\n" for row in values]
     _emit(lines, args.out)
     return _OK
 
@@ -265,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit exact sequence terms")
-    gen.add_argument("--seq", required=True, choices=("a", "b", "u", "triple"))
+    gen.add_argument("--seq", required=True, choices=(*SEQUENCE_IDS, "triple"))
     gen.add_argument("--count", required=True, type=_positive_int)
     gen.add_argument("--format", default="bfile", choices=("bfile", "csv", "jsonl"))
     gen.add_argument("--out")
@@ -278,14 +267,14 @@ def _build_parser() -> argparse.ArgumentParser:
     coeffs.set_defaults(handler=_cmd_coeffs)
 
     approx = sub.add_parser("approx", help="evaluate the truncated series")
-    approx.add_argument("--seq", required=True, choices=("a", "b", "u"))
+    approx.add_argument("--seq", required=True, choices=SEQUENCE_IDS)
     approx.add_argument("--order", required=True, type=_order_arg)
     approx.add_argument("--n", required=True, action="append", type=_positive_int)
     approx.add_argument("--out")
     approx.set_defaults(handler=_cmd_approx)
 
     remainder = sub.add_parser("remainder", help="exact-minus-series table")
-    remainder.add_argument("--seq", required=True, choices=("a", "b", "u"))
+    remainder.add_argument("--seq", required=True, choices=SEQUENCE_IDS)
     remainder.add_argument("--order", required=True, type=_order_arg)
     which = remainder.add_mutually_exclusive_group(required=True)
     which.add_argument("--ns", type=_ns_arg)
@@ -300,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     compare = sub.add_parser("compare", help="diff the generator against a b-file")
-    compare.add_argument("--seq", required=True, choices=("a", "b", "u"))
+    compare.add_argument("--seq", required=True, choices=SEQUENCE_IDS)
     compare.add_argument("--bfile", required=True)
     compare.set_defaults(handler=_cmd_compare)
 

@@ -25,15 +25,19 @@ a-values and precomputes no table.
 The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
 the indices run from n, u = k throughout, and the next window's a is
-a_n plus the sum of that range.  `_rows(start)` is its plain flattening
-into `Triple` rows, which TripleStream, value_at and the remainder tools
-read; the law checks, `figfig gen` and the b-file compare work on whole
-windows straight from `_runs`.
+a_n plus the sum of that range.  This module alone turns windows into
+values.  `_columns` gives one window's n, a, b and u columns as C-level
+iterables, which the law checks and `figfig gen` read; `_column(seq,
+start)` chains one of them across the windows from `start`, which the
+b-file compare and the decade means read; `_heads` reads the values at a
+few sparse indices, for value_at and the remainder table; and `_rows`
+flattens the windows into `Triple` rows for TripleStream.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from itertools import accumulate, chain, islice, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
 
@@ -111,6 +115,43 @@ def _runs(
         k, first, hi = k + 1, hi + 1, next(lag)
 
 
+def _columns(n: int, a: int, first: int, hi: int, k: int) -> tuple[Iterable[int], ...]:
+    """The n, a, b and u columns of the window (n, a, first, hi, k) of _runs.
+
+    Each holds hi - first values, for the indices n, n + 1, ...: b runs
+    through range(first, hi), u = k throughout, and each a is the one
+    before plus the b before.  `hi` may be cut below the window's own
+    bound to take only its leading rows.
+    """
+    width = hi - first
+    b = range(first, hi)
+    return range(n, n + width), islice(accumulate(b, initial=a), width), b, repeat(k, width)
+
+
+def _column(seq: str, start: int) -> Iterator[int]:
+    """The values of sequence "a", "b" or "u" from index `start` (>= 1) on."""
+    position = SEQUENCE_IDS.index(seq) + 1
+    return chain.from_iterable(_columns(*window)[position] for window in _runs(start))
+
+
+def _heads(ns: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(a_n, b_n, u_n) at each index of ns (strictly increasing, >= 1).
+
+    One walk of the windows of constant u, started by jump-ahead at
+    ns[0]: the window (m, a, first, hi, k) holding n gives, with d = n - m,
+    b_n = first + d, u_n = k and a_n = a + d first + d (d - 1) / 2.
+    """
+    windows = _runs(ns[0])
+    m, a, first, hi, k = next(windows)
+    heads = []
+    for n in ns:
+        while n - m >= hi - first:
+            m, a, first, hi, k = next(windows)
+        d = n - m
+        heads.append((a + d * first + d * (d - 1) // 2, first + d, k))
+    return heads
+
+
 def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
     """Rows from index `start` (>= 1) on: the windows of _runs, flattened."""
     for n, a, first, hi, k in _runs(start, lag):
@@ -164,4 +205,4 @@ def value_at(seq: str, n: int) -> int:
     _check_seq(seq)
     if n < 1:
         raise ValueError("index must be >= 1")
-    return getattr(next(_rows(n)), seq)
+    return _heads((n,))[0][SEQUENCE_IDS.index(seq)]

@@ -1,6 +1,8 @@
 """B-file parsing, writing, and comparison against the generator."""
 
 import io
+from itertools import accumulate, count, islice
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +18,7 @@ from figfig import (
     parse_bfile,
     write_bfile,
 )
+from figfig.stream import _rows, _runs
 
 DATA = Path(__file__).parent / "data"
 
@@ -327,7 +330,7 @@ def test_write_makes_one_call_per_block():
     assert "".join(blocks) == "".join(f"{index} {value}\n" for index, value in records)
 
 
-# --- compare_reference, one window of constant u at a time ---------------------
+# --- compare_reference across windows of constant u -------------------------
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +401,57 @@ def test_non_contiguous_records_are_named(indices, message):
         with pytest.raises(ValueError) as raised:
             call()
         assert str(raised.value) == message
+
+
+def reference_compare(records, seq):
+    """compare_reference as it was before its one C-level scan, kept as the
+    reference: one window of constant u at a time, each window's record
+    values compared as a list with the window's column, and only a window
+    that differs scanned value by value."""
+    lo, hi = records[0].index, records[-1].index
+    name = f"compare:{seq}"
+    found = map(itemgetter(1), records)
+    left = len(records)
+    for n, a, first, end, k in _runs(lo):
+        width = min(end - first, left)
+        if seq == "b":
+            expected = list(range(first, first + width))
+        elif seq == "u":
+            expected = [k] * width
+        else:
+            expected = list(islice(accumulate(range(first, end), initial=a), width))
+        got = list(islice(found, width))
+        if got != expected:
+            for index, want, have in zip(count(n), expected, got):
+                if want != have:
+                    return CheckReport(
+                        name, lo, hi, False,
+                        (index, f"expected {want}, b-file has {have}"),
+                    )
+        left -= width
+        if not left:
+            return CheckReport(name, lo, hi, True, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compare_matches_the_window_by_window_reference(data):
+    seq = data.draw(st.sampled_from("abu"), label="seq")
+    lo = data.draw(st.integers(1, 20_000), label="lo")
+    length = data.draw(st.integers(1, 3000), label="length")
+    rows = list(islice(_rows(lo), length))
+    values = [getattr(row, seq) for row in rows]
+    # Up to three values off by a little: at either end of the records, at
+    # the first or last row of a window of constant u, or anywhere.
+    places = st.one_of(
+        st.just(0),
+        st.just(length - 1),
+        st.sampled_from([i for i in range(length) if i == 0 or rows[i].u != rows[i - 1].u]),
+        st.sampled_from([i for i in range(length) if i == length - 1 or rows[i].u != rows[i + 1].u]),
+        st.integers(0, length - 1),
+    )
+    for _ in range(data.draw(st.integers(0, 3), label="faults")):
+        values[data.draw(places)] += data.draw(st.integers(-3, 3).filter(bool))
+    container = data.draw(st.sampled_from([list, tuple]))
+    records = container(BFileRecord(lo + i, value) for i, value in enumerate(values))
+    assert compare_reference(records, seq) == reference_compare(records, seq)

@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,6 +323,26 @@ def test_remainder_jsonl(capsys):
     assert row["n"] == 8
     assert row["order"] == 2
     assert row["exact"] == 45
+
+
+def remainder_pins():
+    """(argv, stdout) for each run recorded in data/remainder_stdout.txt."""
+    text = (Path(__file__).parent / "data" / "remainder_stdout.txt").read_text(encoding="utf-8")
+    pins = []
+    for line in text.splitlines(keepends=True):
+        if line.startswith("== "):
+            seq, *points, fmt = line.split()[1:]
+            argv = ["remainder", "--seq", seq, "--order", "2", *points, "--format", fmt]
+            pins.append((argv, []))
+        elif not line.startswith("#"):
+            pins[-1][1].append(line)
+    return [pytest.param(argv, "".join(lines), id=" ".join(argv[2:])) for argv, lines in pins]
+
+
+@pytest.mark.parametrize("argv, expected", remainder_pins())
+def test_remainder_stdout_is_pinned(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, expected)
 
 
 @pytest.mark.parametrize("ns", ["5,3", "0,4", "7,7"])

@@ -14,7 +14,7 @@ from figfig import (
     value_at,
 )
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
-from figfig.stream import _a_values, _recorded, _rows, _runs
+from figfig.stream import SEQUENCE_IDS, _a_values, _column, _columns, _recorded, _rows, _runs
 
 from oracle import oracle_triples
 
@@ -236,3 +236,39 @@ def test_prefix_length_tracks_u_all_along():
     prefix = []
     for row in islice(recorded_rows(prefix), 5000):
         assert row.u + 1 <= len(prefix) <= row.u + 2
+
+
+def check_columns(window, widths):
+    """_columns of `window` cut to each of `widths` leading rows: every column
+    holds exactly that many values, and zipped they are the oracle rows."""
+    n, a, first, hi, k = window
+    rows = oracle_table()[n - 1 : n - 1 + hi - first]
+    for width in widths:
+        columns = [list(column) for column in _columns(n, a, first, first + width, k)]
+        assert [len(column) for column in columns] == [width] * 4
+        assert list(zip(*columns)) == list(rows[:width])
+
+
+def check_column_from(start):
+    """The first 500 values of each _column(seq, start) against the oracle."""
+    rows = oracle_table()[start - 1 : start + 499]
+    for position, seq in enumerate(SEQUENCE_IDS, start=1):
+        assert list(islice(_column(seq, start), 500)) == [row[position] for row in rows]
+
+
+def test_columns_match_the_oracle_near_the_start():
+    # Every start up to 200 begins a window at, inside or at the last row
+    # of a window of constant u, so the first windows include width-1 ones.
+    for start in range(1, 201):
+        for window in islice(_runs(start), RUN_STEPS):
+            check_columns(window, range(window[3] - window[2] + 1))
+        check_column_from(start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.integers(1, JUMP_LIMIT), cut=st.integers(0, 10**6))
+def test_columns_match_the_oracle(start, cut):
+    for window in islice(_runs(start), RUN_STEPS):
+        full = window[3] - window[2]
+        check_columns(window, (0, 1, cut % (full + 1), full))
+    check_column_from(start)
