@@ -11,7 +11,8 @@ index and detail as an index-by-index walk would.  A check stops at its
 first violation and reports it instead of raising; a passing report
 covers the whole requested range.  The bound checks compare in exact
 integer arithmetic (squared rearrangements of the square-root bounds) so
-they cannot be fooled by rounding at any index.
+they cannot be fooled by rounding at any index.  Reports and remainder
+rows are named tuples, so loading this module imports no `dataclasses`.
 
 The remainder table measures how fast the truncated series approaches
 the exact values.  The remainder is divided by the next rung of the
@@ -32,13 +33,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, takewhile
 from operator import add, mul, sub, truediv
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .stream import CHECK_NAMES, _a_values, _check_seq, _column, _columns, _heads, _recorded, _runs
+from .stream import CHECK_NAMES, SEQUENCE_IDS, _a_values, _check_seq, _column, _columns, _heads, _recorded, _runs
 
 __all__ = [
     "CHECK_NAMES",
@@ -55,23 +55,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one streamed verification over indices [lo, hi]."""
-
+class _CheckReportFields(NamedTuple):
     name: str
     lo: int
     hi: int
     passed: bool
     first_failure: tuple[int, str] | None = None
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.first_failure is None):
+
+class CheckReport(_CheckReportFields):
+    """Outcome of one streamed verification over indices [lo, hi]; any way of
+    building one with passed != (first_failure is None) raises ValueError."""
+
+    __slots__ = ()  # the fields sit on a base, as a NamedTuple body may not define __new__
+
+    def __new__(cls, name: str, lo: int, hi: int, passed: bool, first_failure: tuple[int, str] | None = None):
+        if passed != (first_failure is None):
             raise ValueError("passed must match the absence of a failure")
+        return super().__new__(cls, name, lo, hi, passed, first_failure)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CheckReport:  # the base's skips __new__; _replace calls it
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RemainderRow:
+class RemainderRow(NamedTuple):
     """Exact value, truncated series, and scaled remainder at one index."""
 
     n: int
@@ -98,11 +106,6 @@ def a_upper_bound_holds(n: int, a: int) -> bool:
     return lhs <= 0 or lhs * lhs < 32 * n**3
 
 
-def _walk(check, n: int, a: int, first: int, hi: int, k: int) -> bool:
-    """Feed one window's rows to check.row in order: the exact per-row path."""
-    return any(map(check.row, *_columns(n, a, first, hi, k)))
-
-
 class _Partition:
     """Every integer in [1, upto] is covered once, in order."""
 
@@ -124,14 +127,11 @@ class _Partition:
             and pending[0] == self.expect == first - 1
             and (len(pending) == 1 or pending[1] >= hi)
         ):
-            return _walk(self, n, a, first, hi, k)
+            return any(map(self.row, *_columns(n, a, first, hi, k)))
         pending.popleft()
         self.expect = hi
-        for b in range(first, hi):
-            if a > upto:
-                break
-            pending.append(a)
-            a += b
+        if a <= upto:  # a grows, so no later window has a-values to queue either
+            pending.extend(takewhile(upto.__ge__, _columns(n, a, first, hi, k)[1]))
         return hi > upto
 
     def row(self, n: int, a: int, b: int, u: int) -> bool:
@@ -185,7 +185,7 @@ class _Identities:
                 and min(last, upto) <= prefix[k] - (k + 1)
             )
         ):
-            return _walk(self, n, a, first, hi, k)
+            return any(map(self.row, *_columns(n, a, first, hi, k)))
         if last > upto:
             return True
         self.u_sum += k * (hi - first)
@@ -386,6 +386,10 @@ def _check_decades(lo: int, hi: int) -> None:
         raise ValueError("need 0 <= first decade <= last decade")
 
 
+# Each series is its _remainder_columns tail plus this head (0 + tail is tail: the u tail is positive).
+_SERIES_HEADS = {"a": lambda n: n * n / 2, "b": lambda n: n, "u": lambda n: 0}
+
+
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
     """RemainderRow for each requested index, all read off one walk of the stream.
 
@@ -406,15 +410,11 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
     else:
         exact = [u for _, _, u in heads]
     tails, remainders, scaled = _remainder_columns(seq, order, ns, exact)
-    rows = []
-    for n, (a, b, u), tail, remainder, scale in zip(ns, heads, tails, remainders, scaled):
-        if seq == "a":
-            rows.append(RemainderRow(n, order, a, n * n / 2 + tail, remainder, scale))
-        elif seq == "b":
-            rows.append(RemainderRow(n, order, b, n + tail, remainder, scale))
-        else:
-            rows.append(RemainderRow(n, order, u, tail, remainder, scale))
-    return rows
+    position, head = SEQUENCE_IDS.index(seq), _SERIES_HEADS[seq]
+    return [
+        RemainderRow(n, order, values[position], head(n) + tail, remainder, scale)
+        for n, values, tail, remainder, scale in zip(ns, heads, tails, remainders, scaled)
+    ]
 
 
 # Indices per column of decade_remainder_means: the bound on its working

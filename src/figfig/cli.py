@@ -14,8 +14,8 @@ it was and no partial file behind.
 Each subcommand imports what it alone uses, when it runs: `gen` only the
 stream; `verify` the law checks; `remainder` the checks and the series;
 `approx` the series; `coeffs` the series and `fractions`; `compare` the
-b-file reader, which brings the checks; and only `remainder --format
-jsonl` imports `json`.
+b-file reader, which brings the checks.  Only `remainder --format jsonl`
+imports `json`, and none imports `dataclasses`.
 """
 
 from __future__ import annotations
@@ -199,8 +199,6 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_remainder(args: argparse.Namespace) -> int:
-    from dataclasses import astuple, fields
-
     from .checks import RemainderRow, remainder_table
 
     ns = args.ns if args.ns else [10**d for d in range(args.decades[0], args.decades[1] + 1)]
@@ -210,18 +208,16 @@ def _cmd_remainder(args: argparse.Namespace) -> int:
         "the bands it is judged against are conventions of this package",
         file=sys.stderr,
     )
-    names = [field.name for field in fields(RemainderRow)]
-    values = list(map(astuple, rows))
     if args.format == "csv":
-        lines = [",".join(names) + "\n"]
+        lines = [",".join(RemainderRow._fields) + "\n"]
         lines += [
             ",".join(_real(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-            for row in values
+            for row in rows
         ]
     else:
         import json
 
-        lines = [json.dumps(dict(zip(names, row))) + "\n" for row in values]
+        lines = [json.dumps(row._asdict()) + "\n" for row in rows]
     _emit(lines, args.out)
     return _OK
 

@@ -25,13 +25,14 @@ a-values and precomputes no table.
 The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
 the indices run from n, u = k throughout, and the next window's a is
-a_n plus the sum of that range.  This module alone turns windows into
-values.  `_columns` gives one window's n, a, b and u columns as C-level
+a_n plus the sum of that range.  This module turns windows into values
+(the decade means' column of 2 a_n - n^2, one range per window, aside).
+`_columns` gives one window's n, a, b and u columns as C-level
 iterables, which the law checks and `figfig gen` read; `_column(seq,
 start)` chains one of them across the windows from `start`, which the
 b-file compare and the decade means read; `_heads` reads the values at a
 few sparse indices, for value_at and the remainder table; and `_rows`
-flattens the windows into `Triple` rows for TripleStream.
+zips each window's columns into `Triple` rows for TripleStream.
 """
 
 from __future__ import annotations
@@ -153,12 +154,11 @@ def _heads(ns: Sequence[int]) -> list[tuple[int, int, int]]:
 
 
 def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
-    """Rows from index `start` (>= 1) on: the windows of _runs, flattened."""
-    for n, a, first, hi, k in _runs(start, lag):
-        for b in range(first, hi):
-            yield Triple(n, a, b, k)
-            a += b
-            n += 1
+    """Rows from index `start` (>= 1) on: the columns of each window of _runs, zipped."""
+    # tuple.__new__ builds each Triple in C, with no Python-level call per row.
+    return chain.from_iterable(
+        map(tuple.__new__, repeat(Triple), zip(*_columns(*window))) for window in _runs(start, lag)
+    )
 
 
 def _recorded(values: Iterator[int], into: list[int]) -> Iterator[int]:

@@ -1,6 +1,7 @@
 """Check reports, exact bound predicates, and remainder diagnostics."""
 
 import math
+import pickle
 import tracemalloc
 from collections import deque
 from functools import reduce
@@ -75,6 +76,38 @@ def test_report_consistency_is_enforced():
         CheckReport("x", 1, 2, True, (1, "boom"))
     with pytest.raises(ValueError):
         CheckReport("x", 1, 2, False, None)
+
+
+def test_replace_cannot_break_report_consistency():
+    report = CheckReport("x", 1, 2, True)
+    assert report._replace(hi=5) == CheckReport("x", 1, 5, True, None)
+    with pytest.raises(ValueError):
+        report._replace(passed=False)
+    with pytest.raises(ValueError):
+        report._replace(first_failure=(1, "boom"))
+    with pytest.raises(ValueError):
+        CheckReport._make(("x", 1, 2, False, None))
+
+
+def test_records_are_tuples():
+    failed = CheckReport("partition", 1, 10, False, (3, "no sequence value covers 3"))
+    row = remainder_table("u", 2, [1000])[0]
+    for record in (failed, row):
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is type(record)
+    name, lo, hi, passed, first_failure = failed
+    assert (name, lo, hi, passed, first_failure) == tuple(failed)
+    assert failed == ("partition", 1, 10, False, (3, "no sequence value covers 3"))
+    assert repr(CheckReport("partition", 1, 10, True)) == (
+        "CheckReport(name='partition', lo=1, hi=10, passed=True, first_failure=None)"
+    )
+    assert repr(failed) == (
+        "CheckReport(name='partition', lo=1, hi=10, passed=False, "
+        "first_failure=(3, 'no sequence value covers 3'))"
+    )
+    assert repr(RemainderRow(10, 1, 4, 4.5, -0.5, -0.25)) == (
+        "RemainderRow(n=10, order=1, exact=4, series=4.5, remainder=-0.5, scaled=-0.25)"
+    )
 
 
 def test_sqrt_window_bound_is_exact_at_scale():

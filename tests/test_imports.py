@@ -4,10 +4,14 @@ public names the package hands out on first access."""
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import figfig
+
+BFILE = Path(__file__).resolve().parent / "data" / "b005228.txt"
+
 
 def loaded_after(code, *argv):
     """The names in sys.modules at the end of a fresh interpreter running code."""
@@ -41,22 +45,24 @@ def test_bare_import_loads_no_module_of_the_package():
 def test_library_calls_load_only_their_modules(call, modules):
     loaded = loaded_after("import figfig\n" + call)
     assert {name for name in loaded if name.startswith("figfig.")} == modules
-    assert not loaded & {"fractions", "decimal", "json", "argparse"}
+    assert not loaded & {"dataclasses", "fractions", "decimal", "json", "argparse"}
 
 
 @pytest.mark.parametrize("argv, modules", [
     (("gen", "--seq", "a", "--count", "10"), {"stream"}),
     (("verify", "--check", "all", "--upto", "100"), {"stream", "checks"}),
     (("approx", "--seq", "a", "--order", "3", "--n", "1000"), {"stream", "series"}),
+    (("compare", "--seq", "a", "--bfile", str(BFILE)), {"stream", "checks", "bfile"}),
+    (("remainder", "--seq", "u", "--order", "1", "--ns", "10,100"), {"stream", "checks", "series"}),
 ])
 def test_commands_load_only_their_modules(argv, modules):
-    # None of them loads the b-file code, fractions, decimal or json; gen
-    # does not load the checks.
+    # None of them loads dataclasses, fractions, decimal or json; only
+    # compare loads the b-file code, and gen does not load the checks.
     loaded = loaded_by_cli(*argv)
     assert {name for name in loaded if name.startswith("figfig.")} == {"figfig.cli"} | {
         f"figfig.{module}" for module in modules
     }
-    assert not loaded & {"fractions", "decimal", "json"}
+    assert not loaded & {"dataclasses", "fractions", "decimal", "json"}
 
 
 def test_every_public_name_is_the_object_of_its_home_module():

@@ -54,6 +54,16 @@ def test_magnitudes_settle_below_one():
     assert 0.8 < abs(u_coeff(MAX_ORDER)) < 0.85
 
 
+@pytest.mark.parametrize("n", [10**6, 10**12, 10**18])
+def test_u_series_is_asymptotic_not_convergent_in_the_order(n):
+    # The terms alternate in sign at every order and never shrink below
+    # about 0.84, so adding orders does not converge: the ladder is
+    # asymptotic in n, not convergent in the order.
+    terms = [float(u_coeff(k)) * root_pow(n / 2, k) for k in range(1, MAX_ORDER + 1)]
+    assert all(before * after < 0 for before, after in zip(terms, terms[1:]))
+    assert min(map(abs, terms[8:])) >= 0.8388
+
+
 def test_a_coefficients_are_summed_u_coefficients():
     for k in range(1, 31):
         assert a_coeff(k) == u_coeff(k) * Fraction(2 ** (k + 1), 2**k + 1)

@@ -1,12 +1,13 @@
 """Generator behaviour against published terms and the brute-force oracle."""
 
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from figfig import (
+    Triple,
     TripleStream,
     compare_reference,
     decade_remainder_means,
@@ -272,3 +273,49 @@ def test_columns_match_the_oracle(start, cut):
         full = window[3] - window[2]
         check_columns(window, (0, 1, cut % (full + 1), full))
     check_column_from(start)
+
+
+def reference_rows(start, lag=None):
+    """The rows from `start`, each window of _runs walked row by row with
+    a stepping by b: the reference for _rows, which zips its columns."""
+    for n, a, first, hi, k in _runs(start, lag):
+        for b in range(first, hi):
+            yield Triple(n, a, b, k)
+            a += b
+            n += 1
+
+
+def check_rows_from(start, count):
+    """The first `count` rows of _rows(start) are reference_rows' and are Triples."""
+    rows = list(islice(_rows(start), count))
+    assert rows == list(islice(reference_rows(start), count))
+    assert {type(row) for row in rows} == {Triple}
+
+
+def test_rows_match_the_reference_near_the_start():
+    for start in range(1, 301):
+        check_rows_from(start, 3000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.integers(1, JUMP_LIMIT))
+def test_rows_match_the_reference(start):
+    check_rows_from(start, 3000)
+
+
+@pytest.mark.parametrize("start", [1, 2, 5, 1000])
+def test_rows_pass_a_recorded_lag_through(start):
+    # The same rows, and the lag read just as far: _rows asks _runs for a
+    # window only when the rows before it are used up.
+    prefix, expected = [], []
+    rows = list(islice(_rows(start, _recorded(_a_values(), prefix)), 20_000))
+    assert rows == list(islice(reference_rows(start, _recorded(_a_values(), expected)), 20_000))
+    assert prefix == expected
+
+
+def test_readme_window_counts():
+    # README: the walk to 1e6 takes about 1,400 windows and the one to 1e9
+    # about 45,000.  The window holding index n is window u_n.
+    windows = sum(1 for _ in takewhile(lambda window: window[0] <= 10**6, _runs(1)))
+    assert windows == value_at("u", 10**6) == 1384
+    assert 44_000 < value_at("u", 10**9) < 45_500
