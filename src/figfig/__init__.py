@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in (
-        ("bfile", ("BFileFormatError", "BFileRecord", "compare_reference", "parse_bfile", "write_bfile")),
+        ("bfile", ("BFileFormatError", "BFileRecord", "BFileRecords", "compare_reference", "parse_bfile", "write_bfile")),
         (
             "checks",
             (

@@ -25,6 +25,7 @@ import os
 import stat
 import sys
 from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .stream import CHECK_NAMES, SEQUENCE_IDS, _columns, _runs
@@ -36,21 +37,22 @@ __all__ = ["main", "run_cli"]
 
 _OK, _FAILED, _USAGE, _INTERRUPTED = 0, 1, 2, 130
 
-# `figfig gen`: (seq, format) -> (header, line template over the columns
-# n, a, b, u by position).  The jsonl lines are the bytes json.dumps gives
-# for integer values.
+# `figfig gen`: (seq, format) -> (header, line template).  A template
+# takes the columns n, a, b, u for the triple, and n and the sequence's
+# own column for a single sequence.  The jsonl lines are the bytes
+# json.dumps gives for integer values.
 _GEN_FORMATS = {
-    ("triple", "csv"): ("n,a,b,u\n", "{0},{1},{2},{3}\n"),
-    ("triple", "jsonl"): ("", '{{"n": {0}, "a": {1}, "b": {2}, "u": {3}}}\n'),
-    ("a", "bfile"): ("", "{0} {1}\n"),
-    ("b", "bfile"): ("", "{0} {2}\n"),
-    ("u", "bfile"): ("", "{0} {3}\n"),
-    ("a", "csv"): ("n,a\n", "{0},{1}\n"),
-    ("b", "csv"): ("n,b\n", "{0},{2}\n"),
-    ("u", "csv"): ("n,u\n", "{0},{3}\n"),
-    ("a", "jsonl"): ("", '{{"n": {0}, "a": {1}}}\n'),
-    ("b", "jsonl"): ("", '{{"n": {0}, "b": {2}}}\n'),
-    ("u", "jsonl"): ("", '{{"n": {0}, "u": {3}}}\n'),
+    ("triple", "csv"): ("n,a,b,u\n", "{},{},{},{}\n"),
+    ("triple", "jsonl"): ("", '{{"n": {}, "a": {}, "b": {}, "u": {}}}\n'),
+    ("a", "bfile"): ("", "{} {}\n"),
+    ("b", "bfile"): ("", "{} {}\n"),
+    ("u", "bfile"): ("", "{} {}\n"),
+    ("a", "csv"): ("n,a\n", "{},{}\n"),
+    ("b", "csv"): ("n,b\n", "{},{}\n"),
+    ("u", "csv"): ("n,u\n", "{},{}\n"),
+    ("a", "jsonl"): ("", '{{"n": {}, "a": {}}}\n'),
+    ("b", "jsonl"): ("", '{{"n": {}, "b": {}}}\n'),
+    ("u", "jsonl"): ("", '{{"n": {}, "u": {}}}\n'),
 }
 
 
@@ -159,12 +161,17 @@ def _report_line(report: CheckReport) -> str:
     return f"{report.name} [{report.lo}, {report.hi}]: FAIL at n={n}: {detail}"
 
 
-def _gen_chunks(template: str, count: int) -> Iterator[str]:
-    """The first `count` rows, one string per window of constant u."""
+def _gen_chunks(template: str, seq: str, count: int) -> Iterator[str]:
+    """The first `count` rows, one string per window of constant u.
+
+    Only the columns the template takes are made: a single sequence's
+    rows leave the others, such as a's running sum, unbuilt.
+    """
     line, end = template.format, count + 1
+    pick = itemgetter(0, 1, 2, 3) if seq == "triple" else itemgetter(0, SEQUENCE_IDS.index(seq) + 1)
     for n, a, first, hi, k in _runs(1):
         width = min(hi - first, end - n)
-        yield "".join(map(line, *_columns(n, a, first, first + width, k)))
+        yield "".join(map(line, *pick(_columns(n, a, first, first + width, k))))
         if n + width == end:
             return
 
@@ -175,7 +182,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except KeyError:  # the one pair the table leaves out: a triple as a b-file
         print("error: bfile format holds one sequence; use --seq a, b, or u", file=sys.stderr)
         return _USAGE
-    _emit(chain([header], _gen_chunks(template, args.count)), args.out)
+    _emit(chain([header], _gen_chunks(template, args.seq, args.count)), args.out)
     return _OK
 
 

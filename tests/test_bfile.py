@@ -1,6 +1,7 @@
 """B-file parsing, writing, and comparison against the generator."""
 
 import io
+import tracemalloc
 from itertools import accumulate, count, islice
 from operator import itemgetter
 from pathlib import Path
@@ -12,13 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 from figfig import (
     BFileFormatError,
     BFileRecord,
+    BFileRecords,
     CheckReport,
     bfile,
     compare_reference,
     parse_bfile,
     write_bfile,
 )
-from figfig.stream import _rows, _runs
+from figfig.stream import _column, _rows, _runs
 
 DATA = Path(__file__).parent / "data"
 
@@ -89,6 +91,8 @@ def test_write_rejects_bad_records():
         write_bfile([BFileRecord(1, 1), BFileRecord(3, 7)], io.StringIO())
     with pytest.raises(ValueError):
         write_bfile([BFileRecord(0, 1)], io.StringIO())
+    with pytest.raises(ValueError, match="^record index must be >= 1, got 0$"):
+        BFileRecords(0, [1])
 
 
 @given(
@@ -201,7 +205,7 @@ def outcome(parse, source):
         records = parse(source)
     except BFileFormatError as error:
         return "error", str(error)
-    assert type(records) is list
+    assert type(records) is (BFileRecords if parse is parse_bfile else list)
     assert all(type(record) is BFileRecord for record in records)
     return "records", records
 
@@ -306,10 +310,16 @@ def test_parse_bad_value_in_a_plain_chunk_names_its_line():
     with pytest.raises(BFileFormatError) as raised:
         parse_bfile("".join(lines))
     assert str(raised.value) == f"line {bfile._CHUNK_LINES + 4}: expected 'index value', got '{bfile._CHUNK_LINES + 4} 12z'"
-    # The bulk step leaves no partial records behind for that chunk.
-    records = [BFileRecord(1, 5)]
-    assert not bfile._extend_plain(records, ["2 7\n", "3 12z\n", "4 9\n"])
-    assert records == [BFileRecord(1, 5)]
+    # A chunk with a bad line leaves no partial records behind.
+    records = parse_bfile("1 5\n")
+    for chunk, message in (
+        (["2 7\n", "3 12z\n", "4 9\n"], "line 3: expected 'index value', got '3 12z'"),
+        (["2 7\n", "4 9\n", "5 1\n"], "line 3: gap at index 3"),
+    ):
+        with pytest.raises(BFileFormatError) as raised:
+            bfile._extend(records, chunk, 2)
+        assert str(raised.value) == message
+        assert records == [BFileRecord(1, 5)]
 
 
 def test_parse_with_comments_gives_each_record_once():
@@ -321,6 +331,20 @@ def test_parse_with_comments_gives_each_record_once():
     assert records == reference_parse("".join(lines))
 
 
+def test_parse_keeps_one_int_per_record():
+    # The values list and its ints take about 40 bytes per record, and one
+    # chunk of work comes on top; a named tuple per record took about 140.
+    lines = [f"{n} {a}\n" for n, a in zip(range(1, 50_001), _column("a", 1))]
+    tracemalloc.start()
+    try:
+        records = parse_bfile(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records == [BFileRecord(n, int(line.split()[1])) for n, line in enumerate(lines, start=1)]
+    assert peak < 80 * len(lines)
+
+
 def test_write_makes_one_call_per_block():
     records = [BFileRecord(n, -n) for n in range(5, 5 + 2 * bfile._CHUNK_LINES + 1)]
     sink = mock.Mock()
@@ -328,6 +352,55 @@ def test_write_makes_one_call_per_block():
     blocks = [call.args[0] for call in sink.write.call_args_list]
     assert len(blocks) == 3
     assert "".join(blocks) == "".join(f"{index} {value}\n" for index, value in records)
+
+
+# --- BFileRecords against the list of records it replaces --------------------
+
+
+SLICE_ENDS = st.none() | st.integers(-15, 15)
+
+
+@given(
+    first=st.sampled_from([1, 2, 9, 10**12]),
+    values=st.lists(st.integers(-(10**20), 10**20), max_size=12),
+    window=st.builds(slice, SLICE_ENDS, SLICE_ENDS, st.none() | st.integers(-4, 4).filter(bool)),
+)
+def test_records_behave_like_the_list_they_replace(first, values, window):
+    records = BFileRecords(first, list(values))
+    expected = [BFileRecord(first + i, value) for i, value in enumerate(values)]
+    assert len(records) == len(expected)
+    for i in range(-len(expected) - 2, len(expected) + 2):
+        if -len(expected) <= i < len(expected):
+            assert type(records[i]) is BFileRecord
+            assert records[i] == expected[i]
+        else:
+            with pytest.raises(IndexError):
+                records[i]
+    assert type(records[window]) is list
+    assert all(type(record) is BFileRecord for record in records[window])
+    assert records[window] == expected[window]
+    assert all(type(record) is BFileRecord for record in records)
+    assert list(records) == expected
+    assert list(reversed(records)) == expected[::-1]
+    # == and != as the list gives them: equal to lists of the same records
+    # or pairs, never to a tuple, and unequal to any other list.
+    for other in (expected, [tuple(record) for record in expected], BFileRecords(first, list(values))):
+        assert records == other and other == records
+        assert not (records != other or other != records)
+    assert records != tuple(expected) and tuple(expected) != records
+    assert not (records == tuple(expected) or tuple(expected) == records)
+    longer = expected + [BFileRecord(first + len(expected), 0)]
+    others = [longer, tuple(longer)]
+    if expected:
+        index, value = expected[-1]
+        others += [expected[:-1], expected[:-1] + [BFileRecord(index, value + 1)], longer[1:]]
+        others += [BFileRecords(first + 1, values), BFileRecords(first, values[:-1])]
+    for other in others:
+        assert records != other and other != records
+        assert not (records == other or other == records)
+    with pytest.raises(TypeError):
+        hash(records)
+    assert not hasattr(records, "append")
 
 
 # --- compare_reference across windows of constant u -------------------------
@@ -433,6 +506,11 @@ def reference_compare(records, seq):
             return CheckReport(name, lo, hi, True, None)
 
 
+def parsed(records):
+    """The records written as b-file lines and read back by parse_bfile."""
+    return parse_bfile(f"{index} {value}\n" for index, value in records)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_compare_matches_the_window_by_window_reference(data):
@@ -452,6 +530,6 @@ def test_compare_matches_the_window_by_window_reference(data):
     )
     for _ in range(data.draw(st.integers(0, 3), label="faults")):
         values[data.draw(places)] += data.draw(st.integers(-3, 3).filter(bool))
-    container = data.draw(st.sampled_from([list, tuple]))
-    records = container(BFileRecord(lo + i, value) for i, value in enumerate(values))
+    container = data.draw(st.sampled_from([list, tuple, parsed]))
+    records = container([BFileRecord(lo + i, value) for i, value in enumerate(values)])
     assert compare_reference(records, seq) == reference_compare(records, seq)

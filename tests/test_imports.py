@@ -67,7 +67,7 @@ def test_commands_load_only_their_modules(argv, modules):
 
 def test_every_public_name_is_the_object_of_its_home_module():
     assert sorted(figfig.__all__) == figfig.__all__
-    assert len(figfig.__all__) == 26
+    assert len(figfig.__all__) == 27
     for name in figfig.__all__:
         home = importlib.import_module(f"figfig.{figfig._HOMES[name]}")
         assert getattr(figfig, name) is getattr(home, name), name
