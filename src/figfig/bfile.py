@@ -181,17 +181,18 @@ def _extend(records: BFileRecords, chunk: list[str], lineno: int) -> None:
 
 
 def _check_contiguous(records: Sequence[BFileRecord]) -> None:
+    # Positions [0], not `.index`: on a plain (index, value) tuple that is tuple.index.
     if not records or (
-        records[0].index >= 1
-        and all(map(eq, map(itemgetter(0), records), count(records[0].index)))
+        records[0][0] >= 1
+        and all(map(eq, map(itemgetter(0), records), count(records[0][0])))
     ):
         return
     # Not contiguous from at least 1: walk the records to name the first fault.
-    for position, record in enumerate(records):
-        if record.index < 1:
-            raise ValueError(f"record index must be >= 1, got {record.index}")
-        if position and record.index != records[position - 1].index + 1:
-            raise ValueError(f"records not contiguous at index {record.index}")
+    for position, index in enumerate(map(itemgetter(0), records)):
+        if index < 1:
+            raise ValueError(f"record index must be >= 1, got {index}")
+        if position and index != records[position - 1][0] + 1:
+            raise ValueError(f"records not contiguous at index {index}")
 
 
 def _first_and_values(records: Sequence[BFileRecord]) -> tuple[int, list[int]]:
@@ -200,7 +201,7 @@ def _first_and_values(records: Sequence[BFileRecord]) -> tuple[int, list[int]]:
     if isinstance(records, BFileRecords):
         return records.first, records.values
     _check_contiguous(records)
-    return (records[0].index if records else 1), list(map(itemgetter(1), records))
+    return (records[0][0] if records else 1), list(map(itemgetter(1), records))
 
 
 def write_bfile(records: Sequence[BFileRecord], sink: IO[str]) -> None:

@@ -19,17 +19,21 @@ raises ValueError: n/2 for the u-series (n from about 3.6e308), n for
 the b-series (from about 1.8e308) and n^2/2 for the a-series (from
 about 1.9e154).
 
-The evaluators take their float coefficients straight from the exact
-integer ratios, so `fractions` is imported only by u_coeff and a_coeff.
+The exact integer ratios come from a recurrence, one big-integer step per
+position.  The float coefficients are their correctly rounded quotients,
+so `fractions` is imported only by u_coeff and a_coeff, and each family
+keeps them as one tuple per order, built on first use.  eval_u_series and
+eval_a_series each climb the ladder in a flat loop of their own; none of
+this changes a bit of any result.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, islice, repeat
 from operator import add, mul, truediv
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,14 +53,10 @@ __all__ = [
 MAX_ORDER = 64
 
 
-def _check_index(n: int) -> None:
+def _check_args(n: int, order: int) -> None:
     if n < 1:
         raise ValueError("sequence index must be >= 1")
-
-
-def _check_position(k: int) -> None:
-    if k < 1:
-        raise ValueError("coefficient position must be >= 1")
+    _check_order(order)
 
 
 def _check_order(order: int) -> None:
@@ -64,17 +64,24 @@ def _check_order(order: int) -> None:
         raise ValueError(f"series order must be in 1..{MAX_ORDER}")
 
 
-def _ratio(k: int, summed: str) -> tuple[int, int]:
-    """(p, q), p / q the coefficient at position k of the u-series ("u") or the a-series ("a").
+def _ratios(summed: str) -> Iterator[tuple[int, int]]:
+    """(p, q) at positions k = 1, 2, ...: p / q the coefficient of the u-series ("u") or the a-series ("a").
 
-    The one home of the coefficient formula; p and q are not reduced.
+    The one home of the coefficient formula: p_1 = 2, q_1 = 1, p_{k+1} = -2^k p_k,
+    q_{k+1} = (2^k + 1) q_k, exact and not reduced, one big-integer step per position.
     """
-    _check_position(k)
-    p = (-1) ** (k + 1) * 2 ** (1 + (k - 1) * k // 2)
-    q = math.prod(2**j + 1 for j in range(1, k))
-    if summed == "a":
-        p, q = p * 2 ** (k + 1), q * (2**k + 1)
-    return p, q
+    p, q, power = 2, 1, 2  # power = 2^k
+    while True:
+        yield (2 * power * p, (power + 1) * q) if summed == "a" else (p, q)
+        p, q, power = -power * p, (power + 1) * q, 2 * power
+
+
+def _fraction(k: int, summed: str) -> Fraction:
+    if k < 1:
+        raise ValueError("coefficient position must be >= 1")
+    from fractions import Fraction
+
+    return Fraction(*next(islice(_ratios(summed), k - 1, None)))
 
 
 @lru_cache(maxsize=None)
@@ -85,9 +92,7 @@ def u_coeff(k: int) -> Fraction:
     Successive magnitudes shrink by 2^k / (2^k + 1) and settle toward a
     limit just below 0.84.
     """
-    from fractions import Fraction
-
-    return Fraction(*_ratio(k, "u"))
+    return _fraction(k, "u")
 
 
 @lru_cache(maxsize=None)
@@ -97,9 +102,7 @@ def a_coeff(k: int) -> Fraction:
     Term-by-term summation of the u-series scales position k by
     2^(k+1) / (2^k + 1), giving 8/3, -32/15, 256/135, ...
     """
-    from fractions import Fraction
-
-    return Fraction(*_ratio(k, "a"))
+    return _fraction(k, "a")
 
 
 def root_pow(x: float, k: int) -> float:
@@ -112,52 +115,40 @@ def root_pow(x: float, k: int) -> float:
     return x
 
 
-@lru_cache(maxsize=None)
 def _floats(summed: str) -> tuple[float, ...]:
-    # The coefficients of one family as floats, positions 1..MAX_ORDER.
-    # Built on first use, not at import, which every CLI run would pay.
-    # Int / int true division is correctly rounded, so p / q is the same
-    # double as float(Fraction(p, q)).
-    return tuple(p / q for p, q in (_ratio(k, summed) for k in range(1, MAX_ORDER + 1)))
+    # One family's coefficients at positions 1..MAX_ORDER.  Int / int true
+    # division is correctly rounded: p / q is the double float(Fraction(p, q)).
+    return tuple(p / q for p, q in islice(_ratios(summed), MAX_ORDER))
 
 
-def _ladder(n: int, order: int, summed: str) -> tuple[float, float]:
-    """(sum, last rung) of the u-series (`summed` "u") or the a-series tail ("a").
+class _Prefixes(dict):
+    """family -> prefixes, prefixes[order] = (c_1, ..., c_order); built on first use, not at import."""
 
-    Both climb the ladder (n/2)^(1/2^k), k = 1..order, by the same square
-    roots as root_pow and add the terms in order of k.  An a-term is
-    coefficient * (n/2)^(1/2^k) * (n/2), its power 1 + 1/2^k split so no
-    intermediate exceeds n; a u-term is scaled by 1.0, which changes no
-    bit.  One more square root of the last rung (n/2)^(1/2^order) gives
-    the next term's power without climbing the ladder again.
-    """
-    half = n / 2
-    scale = 1.0 if summed == "u" else half
-    root, total = half, 0.0
-    for coeff in _floats(summed)[:order]:
-        root = math.sqrt(root)
-        total += coeff * root * scale
-    return total, root
+    def __missing__(self, summed: str) -> tuple[tuple[float, ...], ...]:
+        self[summed] = prefixes = tuple(accumulate(zip(_floats(summed)), initial=()))
+        return prefixes
 
 
-def _ladder_column(
-    ns: Sequence[int], order: int, summed: str
-) -> tuple[list[float], list[float]]:
-    """_ladder at every index of ns, as (sums, last rungs) lists in the order of ns.
+_PREFIXES = _Prefixes()
 
-    Each rung is climbed once for the whole column, with the same float
-    operations in the same order as _ladder takes for each index alone,
-    so every entry equals _ladder(n, order, summed) bit for bit.  The u
-    terms skip _ladder's multiplication by 1.0, which changes no bit.
+
+def _ladder_column(ns: Sequence[int], order: int, summed: str) -> tuple[list[float], list[float]]:
+    """(sums, last rungs) of the u-series ("u") or the a-series tail ("a") at every index of ns.
+
+    Each rung is climbed once for the whole column by the float operations
+    of eval_u_series and eval_a_series, so every sum equals theirs bit for
+    bit: the first rung's terms start the sums, and 0.0 + term changes no
+    bit, as no term is -0.0 (root > 0, coeff != 0).  One more square root
+    of a last rung (n/2)^(1/2^order) gives the next term's power.
     """
     halves = list(map(truediv, ns, repeat(2)))
-    roots, totals = halves, repeat(0.0)
-    for coeff in _floats(summed)[:order]:
+    roots, totals = halves, None
+    for coeff in _PREFIXES[summed][order]:
         roots = list(map(math.sqrt, roots))
         terms = map(mul, repeat(coeff), roots)
         if summed == "a":
             terms = map(mul, terms, halves)
-        totals = list(map(add, totals, terms))
+        totals = list(terms if totals is None else map(add, totals, terms))
     return totals, roots
 
 
@@ -167,12 +158,17 @@ def _too_large(what: str) -> ValueError:
 
 def eval_u_series(n: int, order: int) -> float:
     """Truncated u-series at index n, positions 1..order summed in order."""
-    _check_index(n)
-    _check_order(order)
+    if n < 1 or not 1 <= order <= MAX_ORDER:
+        _check_args(n, order)
     try:
-        return _ladder(n, order, "u")[0]
-    except OverflowError:  # n / 2, the ladder's first step
+        root = n / 2
+    except OverflowError:
         raise _too_large("n/2") from None
+    sqrt, total = math.sqrt, 0.0
+    for coeff in _PREFIXES["u"][order]:
+        root = sqrt(root)
+        total += coeff * root
+    return total
 
 
 def eval_b_series(n: int, order: int) -> float:
@@ -186,10 +182,14 @@ def eval_b_series(n: int, order: int) -> float:
 
 def eval_a_series(n: int, order: int) -> float:
     """Truncated a-series at index n: n^2/2 plus the summed tail."""
-    _check_index(n)
-    _check_order(order)
+    if n < 1 or not 1 <= order <= MAX_ORDER:
+        _check_args(n, order)
     try:
-        head = n * n / 2
+        head, half = n * n / 2, n / 2
     except OverflowError:
         raise _too_large("n^2/2") from None
-    return head + _ladder(n, order, "a")[0]
+    sqrt, root, tail = math.sqrt, half, 0.0
+    for coeff in _PREFIXES["a"][order]:
+        root = sqrt(root)
+        tail += coeff * root * half  # power 1 + 1/2^k split: no intermediate exceeds n
+    return head + tail

@@ -469,11 +469,29 @@ def test_compare_passes_from_mid_window(reference_columns, seq):
     ],
 )
 def test_non_contiguous_records_are_named(indices, message):
-    records = [BFileRecord(index, 1) for index in indices]
-    for call in (lambda: compare_reference(records, "a"), lambda: write_bfile(records, io.StringIO())):
-        with pytest.raises(ValueError) as raised:
-            call()
-        assert str(raised.value) == message
+    # Plain (index, value) pairs are named just as the named records are.
+    for records in ([BFileRecord(index, 1) for index in indices], [(index, 1) for index in indices]):
+        for call in (lambda: compare_reference(records, "a"), lambda: write_bfile(records, io.StringIO())):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("seq", ["a", "b", "u"])
+@pytest.mark.parametrize("lo", [1, LO])
+def test_plain_pairs_are_taken_as_records(reference_columns, seq, lo):
+    # Plain (index, value) tuples compare equal to the records, so they are
+    # written and compared as the records are.
+    column = reference_columns[seq]
+    records = [BFileRecord(n, column[n - 1]) for n in range(lo, HI + 1)]
+    pairs = [tuple(record) for record in records]
+    written = []
+    for given_records in (records, pairs):
+        sink = io.StringIO()
+        write_bfile(given_records, sink)
+        written.append(sink.getvalue())
+        assert compare_reference(given_records, seq) == CheckReport(f"compare:{seq}", lo, HI, True, None)
+    assert written[0] == written[1]
 
 
 def reference_compare(records, seq):

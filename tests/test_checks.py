@@ -4,7 +4,7 @@ import math
 import pickle
 import tracemalloc
 from collections import deque
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice, takewhile
 from operator import add
 
@@ -28,7 +28,6 @@ from figfig import (
 )
 from figfig import checks
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
-from figfig.series import _ladder
 from figfig.stream import Triple, _a_values, _rows, _runs
 from oracle import oracle_triples
 
@@ -239,20 +238,33 @@ def test_one_ladder_remainders_are_bit_identical(seq):
         assert remainder_table(seq, order, ns) == [_two_ladder_row(seq, order, n) for n in ns]
 
 
+@lru_cache(maxsize=None)
+def rounded_coefficients(seq, order):
+    """float(c_k), k = 1..order, of the a-series for seq "a", else of the u-series."""
+    coeff = a_coeff if seq == "a" else u_coeff
+    return tuple(float(coeff(k)) for k in range(1, order + 1))
+
+
 def reference_series_parts(seq, order, row):
-    """(exact, series, remainder, scaled) at one row, by the scalar ladder:
-    the per-row path that the column-at-a-time remainder tools replaced."""
+    """(exact, series, remainder, scaled) at one row, by a scalar ladder
+    built here from the exact coefficients: the per-row path that the
+    column-at-a-time remainder tools replaced.  A u-term is scaled by 1.0,
+    which changes no bit."""
     n = row.n
+    half = n / 2
+    scale = half if seq == "a" else 1.0
+    root, total = half, 0.0
+    for coeff in rounded_coefficients(seq, order):
+        root = math.sqrt(root)
+        total += coeff * root * scale
     if seq == "a":
-        tail, rung = _ladder(n, order, "a")
-        remainder = (2 * row.a - n * n) / 2 - tail
-        return row.a, n * n / 2 + tail, remainder, remainder / ((n / 2) * math.sqrt(rung))
-    u_series, rung = _ladder(n, order, "u")
-    remainder = row.u - u_series
-    scaled = remainder / math.sqrt(rung)
+        remainder = (2 * row.a - n * n) / 2 - total
+        return row.a, n * n / 2 + total, remainder, remainder / (half * math.sqrt(root))
+    remainder = row.u - total
+    scaled = remainder / math.sqrt(root)
     if seq == "b":
-        return row.b, n + u_series, remainder, scaled
-    return row.u, u_series, remainder, scaled
+        return row.b, n + total, remainder, scaled
+    return row.u, total, remainder, scaled
 
 
 def reference_decade_means(seq, order, first_decade, last_decade):

@@ -286,6 +286,21 @@ def test_approx_formats_fifteen_significant_digits(capsys):
     assert out == "n,series\n8,2.11438191683587\n"
 
 
+def test_approx_stdout_is_pinned(capsys):
+    # data/approx_stdout.txt is the stdout of `figfig approx` for seq a, b, u
+    # and, within each, order 1, 2, 3, 8, 64, one run each with every n
+    # below: the bytes every series kernel must keep.  CI checks the
+    # installed script against the same file.
+    ns = [1, 2, 3, 10, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18]
+    outs = []
+    for seq in "abu":
+        for order in (1, 2, 3, 8, 64):
+            code, out, _ = run(capsys, "approx", "--seq", seq, "--order", str(order), *(f"--n={n}" for n in ns))
+            assert code == 0
+            outs.append(out)
+    assert "".join(outs) == (Path(__file__).parent / "data" / "approx_stdout.txt").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("seq, n", [("u", "1" + "0" * 400), ("b", "1" + "0" * 309), ("a", "1" + "0" * 155)])
 def test_approx_past_the_double_range_is_an_input_error(capsys, seq, n):
     # The last --n is too large for a double-precision series; nothing is

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from figfig import series
 from figfig import (
@@ -190,6 +190,46 @@ def test_eval_at_the_edge_of_the_double_range(seq, order):
 
 def test_a_series_range_ends_near_1_9e154():
     assert 1.89e154 < FIRST_TOO_LARGE["a"] < 1.9e154
+
+
+def _reference_ladder(n: int, order: int) -> tuple[float, float, float]:
+    """(u-series, a-series tail, last rung) at index n, built from the
+    rounded exact coefficients and root_pow alone, so that it shares no
+    code with the package's ladder kernels.  Terms are added in order of
+    k; an a-term is coefficient * rung * (n/2), in that order."""
+    half = n / 2
+    u_total = a_tail = 0.0
+    for k in range(1, order + 1):
+        rung = root_pow(half, k)
+        u_total += float(u_coeff(k)) * rung
+        a_tail += float(a_coeff(k)) * rung * half
+    return u_total, a_tail, rung
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # n log-uniform in [1, 1e18], or the last index of a series' range.
+    n=st.one_of(
+        st.floats(min_value=0, max_value=18).map(lambda e: round(10**e)),
+        st.sampled_from([FIRST_TOO_LARGE[seq] - 1 for seq in "uba"]),
+    ),
+    order=st.integers(min_value=1, max_value=MAX_ORDER),
+)
+@example(n=1, order=1)
+@example(n=10**18, order=MAX_ORDER)
+@example(n=FIRST_TOO_LARGE["u"] - 1, order=MAX_ORDER)
+@example(n=FIRST_TOO_LARGE["a"] - 1, order=MAX_ORDER)
+def test_series_kernels_equal_an_independent_ladder(n, order):
+    # Bit for bit, not approximately: each kernel must do the same float
+    # operations in the same order as the plain ladder.
+    u_total, a_tail, rung = _reference_ladder(n, order)
+    assert eval_u_series(n, order) == u_total
+    assert series._ladder_column([n], order, "u") == ([u_total], [rung])
+    if n < FIRST_TOO_LARGE["b"]:
+        assert eval_b_series(n, order) == n + u_total
+    if n < FIRST_TOO_LARGE["a"]:
+        assert eval_a_series(n, order) == n * n / 2 + a_tail
+        assert series._ladder_column([n], order, "a") == ([a_tail], [rung])
 
 
 def test_float_coefficients_are_the_rounded_fractions():
