@@ -3,15 +3,16 @@
 Data rows go to standard output (or the --out file where offered); notes
 and error messages go to standard error.  Exit status is 0 for success,
 1 for a failed verification or comparison, 2 for usage or input-format
-problems.  A reader that closes standard output early, as `head` does,
-ends the run normally with status 0 and nothing on standard error; an
-interrupt (Ctrl-C) ends it with status 130 and one `interrupted` line on
-standard error.  An --out file is replaced atomically: it is written under
-a temporary name in the same directory and renamed onto the target only
-when complete, so a failed or interrupted run leaves any earlier file as
-it was and no partial file behind.
+problems, 70 for an internal error (a traceback, then one `internal
+error:` line on standard error) and 130 for an interrupt (Ctrl-C; one
+`interrupted` line).  A reader that closes standard output early, as
+`head` does, ends the run normally: status 0, nothing on standard error.
+An --out file is replaced atomically, so a failed or interrupted run
+leaves any earlier file as it was and no partial file behind.
 
-Each subcommand imports what it alone uses, when it runs: `gen` only the
+`gen` formats a block of at most 1024 rows, not a window of constant u,
+per string, in one `%` call with each window's u written once.  Each
+subcommand imports what it alone uses, when it runs: `gen` only the
 stream; `verify` the law checks; `remainder` the checks and the series;
 `approx` the series; `coeffs` the series and `fractions`; `compare` the
 b-file reader, which brings the checks.  Only `remainder --format jsonl`
@@ -24,8 +25,7 @@ import argparse
 import os
 import stat
 import sys
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .stream import CHECK_NAMES, SEQUENCE_IDS, _columns, _runs
@@ -35,37 +35,41 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "run_cli"]
 
-_OK, _FAILED, _USAGE, _INTERRUPTED = 0, 1, 2, 130
+_OK, _FAILED, _USAGE, _INTERNAL, _INTERRUPTED = 0, 1, 2, 70, 130
 
-# `figfig gen`: (seq, format) -> (header, line template).  A template
-# takes the columns n, a, b, u for the triple, and n and the sequence's
-# own column for a single sequence.  The jsonl lines are the bytes
-# json.dumps gives for integer values.
+# `figfig gen`: (seq, format) -> (header, line template).  `template %
+# {"u": k}` writes a window's constant u and leaves a %d for n and each
+# other column; the jsonl lines are the bytes json.dumps gives for ints.
+# _GEN_BLOCK caps the rows of one string, as bfile._CHUNK_LINES does.
 _GEN_FORMATS = {
-    ("triple", "csv"): ("n,a,b,u\n", "{},{},{},{}\n"),
-    ("triple", "jsonl"): ("", '{{"n": {}, "a": {}, "b": {}, "u": {}}}\n'),
-    ("a", "bfile"): ("", "{} {}\n"),
-    ("b", "bfile"): ("", "{} {}\n"),
-    ("u", "bfile"): ("", "{} {}\n"),
-    ("a", "csv"): ("n,a\n", "{},{}\n"),
-    ("b", "csv"): ("n,b\n", "{},{}\n"),
-    ("u", "csv"): ("n,u\n", "{},{}\n"),
-    ("a", "jsonl"): ("", '{{"n": {}, "a": {}}}\n'),
-    ("b", "jsonl"): ("", '{{"n": {}, "b": {}}}\n'),
-    ("u", "jsonl"): ("", '{{"n": {}, "u": {}}}\n'),
+    ("triple", "csv"): ("n,a,b,u\n", "%%d,%%d,%%d,%(u)d\n"),
+    ("triple", "jsonl"): ("", '{"n": %%d, "a": %%d, "b": %%d, "u": %(u)d}\n'),
+    ("a", "bfile"): ("", "%%d %%d\n"),
+    ("b", "bfile"): ("", "%%d %%d\n"),
+    ("u", "bfile"): ("", "%%d %(u)d\n"),
+    ("a", "csv"): ("n,a\n", "%%d,%%d\n"),
+    ("b", "csv"): ("n,b\n", "%%d,%%d\n"),
+    ("u", "csv"): ("n,u\n", "%%d,%(u)d\n"),
+    ("a", "jsonl"): ("", '{"n": %%d, "a": %%d}\n'),
+    ("b", "jsonl"): ("", '{"n": %%d, "b": %%d}\n'),
+    ("u", "jsonl"): ("", '{"n": %%d, "u": %(u)d}\n'),
 }
+_GEN_BLOCK = 1024
 
 
 def _real(x: float) -> str:
     return format(x, ".15g")
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
+
+
+def _positive_int(text: str) -> int:
+    if (value := _int(text)) < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
 
@@ -82,11 +86,7 @@ def _checked(check, value):
 def _order_arg(text: str) -> int:
     from .series import _check_order
 
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    return _checked(_check_order, value)
+    return _checked(_check_order, _int(text))
 
 
 def _ns_arg(text: str) -> list[int]:
@@ -102,11 +102,8 @@ def _ns_arg(text: str) -> list[int]:
 def _decades_arg(text: str) -> tuple[int, int]:
     from .checks import _check_decades
 
-    lo_text, sep, hi_text = text.partition(":")
     try:
-        if not sep:
-            raise ValueError
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError("expected lo:hi with integer decades") from None
     return _checked(lambda span: _check_decades(*span), (lo, hi))
@@ -162,16 +159,20 @@ def _report_line(report: CheckReport) -> str:
 
 
 def _gen_chunks(template: str, seq: str, count: int) -> Iterator[str]:
-    """The first `count` rows, one string per window of constant u.
+    """The first `count` rows, one string per block of at most _GEN_BLOCK rows.
 
-    Only the columns the template takes are made: a single sequence's
-    rows leave the others, such as a's running sum, unbuilt.
+    A window of constant u gets its line with u written once; each block
+    of it is one `%` on that line repeated, fed the n, a and b columns
+    the line takes.  The others, such as a's running sum, stay unbuilt.
     """
-    line, end = template.format, count + 1
-    pick = itemgetter(0, 1, 2, 3) if seq == "triple" else itemgetter(0, SEQUENCE_IDS.index(seq) + 1)
+    end = count + 1
+    keep = {"triple": slice(3), "a": slice(2), "b": slice(0, 3, 2), "u": slice(1)}[seq]
     for n, a, first, hi, k in _runs(1):
         width = min(hi - first, end - n)
-        yield "".join(map(line, *pick(_columns(n, a, first, first + width, k))))
+        columns = _columns(n, a, first, first + width, k)[keep]
+        line, values = template % {"u": k}, chain.from_iterable(zip(*columns))
+        while block := tuple(islice(values, _GEN_BLOCK * len(columns))):
+            yield line * (len(block) // len(columns)) % block
         if n + width == end:
             return
 
@@ -324,6 +325,12 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return _INTERRUPTED
+    except Exception:  # a fault in figfig, not in its input
+        import traceback
+
+        traceback.print_exc()
+        print("internal error: a bug in figfig; please report the traceback above", file=sys.stderr)
+        return _INTERNAL
 
 
 def main() -> None:

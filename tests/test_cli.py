@@ -130,6 +130,62 @@ def test_gen_matches_the_oracle_at_any_count(count, pair):
     assert out.getvalue() == expected_gen(seq, fmt, count)
 
 
+def wide_window(rows):
+    """First and last index of the first oracle window of more than `rows` rows."""
+    u = [row[3] for row in oracle_table()]
+    lo = 1
+    for n in range(2, len(u) + 1):
+        if u[n - 1] != u[n - 2]:
+            if n - lo > rows:
+                return lo, n - 1
+            lo = n
+    raise AssertionError("no window that wide in the oracle rows")
+
+
+SMALL_BLOCK = 7
+# Where a count ends, relative to the first window more than three small
+# blocks wide: on the window boundary before it, on its first block
+# boundary, inside its second block, on its own last row, or far past it.
+SPLIT_ENDS = {
+    "window boundary": lambda lo, hi: lo - 1,
+    "block boundary": lambda lo, hi: lo - 1 + SMALL_BLOCK,
+    "mid-block": lambda lo, hi: lo - 1 + SMALL_BLOCK + 3,
+    "window end": lambda lo, hi: hi,
+    "far": lambda lo, hi: 5000,
+}
+
+
+@pytest.mark.parametrize("end", SPLIT_ENDS)
+@pytest.mark.parametrize("seq,fmt", GEN_PAIRS)
+def test_gen_split_into_small_blocks_matches_the_oracle(monkeypatch, capsys, seq, fmt, end):
+    lo, hi = wide_window(3 * SMALL_BLOCK)
+    count = SPLIT_ENDS[end](lo, hi)
+    monkeypatch.setattr(cli, "_GEN_BLOCK", SMALL_BLOCK)
+    code, out, err = run(capsys, "gen", "--seq", seq, "--count", str(count), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == expected_gen(seq, fmt, count)
+
+
+def test_gen_chunks_hold_at_most_one_block_of_rows():
+    # Windows of constant u are wider than 1024 rows from index 510884
+    # (u = 986) on, so the run below splits some of them.
+    assert cli._GEN_BLOCK == 1024
+    count = 512_000
+    template = cli._GEN_FORMATS["triple", "csv"][1]
+    chunks = list(cli._gen_chunks(template, "triple", count))
+    sizes = [chunk.count("\n") for chunk in chunks]
+    assert (max(sizes), sum(sizes)) == (1024, count)
+    # The far chunks: one window's rows each, contiguous, and the laws hold.
+    rows = []
+    for chunk in chunks[-8:]:
+        block = [tuple(map(int, line.split(","))) for line in chunk.splitlines()]
+        assert len({u for _, _, _, u in block}) == 1
+        rows += block
+    assert rows[-1][0] == count
+    for (n, a, b, u), (n_next, a_next, _, _) in zip(rows, rows[1:]):
+        assert (n_next, a_next, u) == (n + 1, a + b, b - n)
+
+
 @pytest.mark.parametrize("seq,fmt", GEN_PAIRS)
 def test_gen_out_file_matches_stdout_in_every_format(tmp_path, capsys, seq, fmt):
     argv = ["gen", "--seq", seq, "--count", "1000", "--format", fmt]
@@ -370,6 +426,15 @@ def test_remainder_rejects_bad_points(capsys, ns):
     )
 
 
+@pytest.mark.parametrize("decades", ["3", "1:2:3", "a:3", "1:", ""])
+def test_remainder_rejects_malformed_decades(capsys, decades):
+    code, _, err = run(capsys, "remainder", "--seq", "u", "--order", "1", "--decades", decades)
+    assert code == 2
+    assert err.splitlines()[-1] == (
+        "figfig remainder: error: argument --decades: expected lo:hi with integer decades"
+    )
+
+
 def test_remainder_rejects_bad_decades(capsys):
     code, _, err = run(capsys, "remainder", "--seq", "u", "--order", "1", "--decades", "5:2")
     assert code == 2
@@ -420,6 +485,21 @@ def test_interrupt_exits_130_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_verify", interrupted)
     code, out, err = run(capsys, "verify", "--check", "all", "--upto", "5")
     assert (code, out, err) == (130, "", "interrupted\n")
+
+
+@pytest.mark.parametrize("fault", [RuntimeError("broken invariant"), TypeError("bad operand")])
+def test_internal_error_exits_70_with_its_traceback(monkeypatch, capsys, fault):
+    def faulty(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "_cmd_verify", faulty)
+    code, out, err = run(capsys, "verify", "--check", "all", "--upto", "5")
+    assert (code, out) == (70, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    lines = err.splitlines()
+    assert lines[-2] == f"{type(fault).__name__}: {fault}"
+    assert lines[-1].startswith("internal error: ")
+    assert sum(line.startswith("internal error:") for line in lines) == 1
 
 
 def test_compare_passing_file(tmp_path, capsys):
