@@ -11,7 +11,11 @@ imported from its home module (listed in _HOMES) on first access and
 then kept here, so a caller pays only for the modules it uses:
 `eval_u_series` loads `figfig.series` alone, without `fractions`, and
 `check_all` loads the stream and the checks, but neither the series nor
-any b-file code.
+any b-file code.  No module of the package imports `typing` or
+`__future__`, so a fresh interpreter that compiles the package from
+source pays for neither: the benchmark's `setup_s` (this import plus
+both series once) fell from a median 3.16 ms to 2.65 ms, and the same
+probe under `python -S` from 11.8 ms to 5.8 ms (README, "Start-up").
 """
 
 __version__ = "0.1.0"

@@ -21,13 +21,11 @@ only a chunk that differs.  `write_bfile` writes one block of lines per
 chunk.
 """
 
-from __future__ import annotations
-
 import io
-from collections.abc import Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import count, islice, repeat, starmap
 from operator import eq, itemgetter
-from typing import IO, Iterable, Iterator, NamedTuple
 
 from .checks import CheckReport
 from .stream import _check_seq, _column
@@ -48,9 +46,7 @@ class BFileFormatError(ValueError):
     """Raised for b-file text that violates the format."""
 
 
-class BFileRecord(NamedTuple):
-    index: int
-    value: int
+BFileRecord = namedtuple("BFileRecord", "index value")
 
 
 def _records(indices: Iterable[int], values: Iterable[int]) -> Iterator[BFileRecord]:
@@ -101,7 +97,7 @@ class BFileRecords(Sequence):
         return f"BFileRecords(first={self.first}, values={self.values!r})"
 
 
-def parse_bfile(source: str | IO[str] | Iterable[str]) -> BFileRecords:
+def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
     """Parse b-file text (a string or a line stream) into records.
 
     Raises BFileFormatError naming the line for malformed lines, and
@@ -204,7 +200,7 @@ def _first_and_values(records: Sequence[BFileRecord]) -> tuple[int, list[int]]:
     return (records[0][0] if records else 1), list(map(itemgetter(1), records))
 
 
-def write_bfile(records: Sequence[BFileRecord], sink: IO[str]) -> None:
+def write_bfile(records: Sequence[BFileRecord], sink: io.TextIOBase) -> None:
     """Emit records as b-file lines; inverse of parse_bfile byte for byte.
 
     Writes one block of up to _CHUNK_LINES lines per `sink.write` call.

@@ -29,14 +29,12 @@ they span; each decade's scaled values are added left to right, one at a
 time, so the means are the same floats an index-by-index walk gives.
 """
 
-from __future__ import annotations
-
 import math
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain, islice, repeat, takewhile
 from operator import add, mul, sub, truediv
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .stream import CHECK_NAMES, SEQUENCE_IDS, _a_values, _check_seq, _column, _columns, _heads, _recorded, _runs
 
@@ -55,19 +53,11 @@ __all__ = [
 ]
 
 
-class _CheckReportFields(NamedTuple):
-    name: str
-    lo: int
-    hi: int
-    passed: bool
-    first_failure: tuple[int, str] | None = None
-
-
-class CheckReport(_CheckReportFields):
+class CheckReport(namedtuple("_CheckReportFields", "name lo hi passed first_failure", defaults=(None,))):
     """Outcome of one streamed verification over indices [lo, hi]; any way of
     building one with passed != (first_failure is None) raises ValueError."""
 
-    __slots__ = ()  # the fields sit on a base, as a NamedTuple body may not define __new__
+    __slots__ = ()
 
     def __new__(cls, name: str, lo: int, hi: int, passed: bool, first_failure: tuple[int, str] | None = None):
         if passed != (first_failure is None):
@@ -75,19 +65,12 @@ class CheckReport(_CheckReportFields):
         return super().__new__(cls, name, lo, hi, passed, first_failure)
 
     @classmethod
-    def _make(cls, iterable: Iterable) -> CheckReport:  # the base's skips __new__; _replace calls it
+    def _make(cls, iterable: Iterable) -> "CheckReport":  # the base's skips __new__; _replace calls it
         return cls(*iterable)
 
 
-class RemainderRow(NamedTuple):
-    """Exact value, truncated series, and scaled remainder at one index."""
-
-    n: int
-    order: int
-    exact: int
-    series: float
-    remainder: float
-    scaled: float
+RemainderRow = namedtuple("RemainderRow", "n order exact series remainder scaled")
+RemainderRow.__doc__ = "Exact value, truncated series, and scaled remainder at one index."
 
 
 def sqrt_window_bound_holds(n: int, value: int) -> bool:

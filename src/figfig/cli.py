@@ -19,19 +19,14 @@ b-file reader, which brings the checks.  Only `remainder --format jsonl`
 imports `json`, and none imports `dataclasses`.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import stat
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .stream import CHECK_NAMES, SEQUENCE_IDS, _columns, _runs
-
-if TYPE_CHECKING:
-    from .checks import CheckReport
 
 __all__ = ["main", "run_cli"]
 
@@ -151,7 +146,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
         raise
 
 
-def _report_line(report: CheckReport) -> str:
+def _report_line(report: "CheckReport") -> str:
     if report.passed:
         return f"{report.name} [{report.lo}, {report.hi}]: PASS"
     n, detail = report.first_failure

@@ -27,16 +27,11 @@ eval_a_series each climb the ladder in a flat loop of their own; none of
 this changes a bit of any result.
 """
 
-from __future__ import annotations
-
 import math
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from operator import add, mul, truediv
-from typing import TYPE_CHECKING, Iterator, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "MAX_ORDER",
@@ -76,7 +71,7 @@ def _ratios(summed: str) -> Iterator[tuple[int, int]]:
         p, q, power = -power * p, (power + 1) * q, 2 * power
 
 
-def _fraction(k: int, summed: str) -> Fraction:
+def _fraction(k: int, summed: str) -> "Fraction":
     if k < 1:
         raise ValueError("coefficient position must be >= 1")
     from fractions import Fraction
@@ -85,7 +80,7 @@ def _fraction(k: int, summed: str) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def u_coeff(k: int) -> Fraction:
+def u_coeff(k: int) -> "Fraction":
     """Exact coefficient of (n/2)^(1/2^k) in the u-series.
 
     Signs alternate starting positive: 2, -4/3, 16/15, -128/135, ...
@@ -96,7 +91,7 @@ def u_coeff(k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def a_coeff(k: int) -> Fraction:
+def a_coeff(k: int) -> "Fraction":
     """Exact coefficient of (n/2)^(1 + 1/2^k) in the a-series.
 
     Term-by-term summation of the u-series scales position k by

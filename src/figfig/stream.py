@@ -35,10 +35,9 @@ few sparse indices, for value_at and the remainder table; and `_rows`
 zips each window's columns into `Triple` rows for TripleStream.
 """
 
-from __future__ import annotations
-
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, islice, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
 
@@ -57,13 +56,8 @@ def _check_seq(seq: str) -> None:
         raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
 
 
-class Triple(NamedTuple):
-    """One row of the joint stream: the index and all three values there."""
-
-    n: int
-    a: int
-    b: int
-    u: int
+Triple = namedtuple("Triple", "n a b u")
+Triple.__doc__ = "One row of the joint stream: the index and all three values there."
 
 
 def _a_values() -> Iterator[int]:

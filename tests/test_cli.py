@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -106,6 +107,34 @@ def expected_gen(seq, fmt, count):
     return ",".join(names) + "\n" + "".join(lines)
 
 
+def assert_same_text(got, want):
+    """got == want exactly; a mismatch fails at once, naming the first line
+    that differs, where pytest's own diff of two long texts can take minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    index = next(
+        (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+        min(len(got_lines), len(want_lines)),
+    )
+    got_line, want_line = (lines[index] if index < len(lines) else None for lines in (got_lines, want_lines))
+    pytest.fail(
+        f"first difference at line {index + 1}: got {got_line!r}, expected {want_line!r}"
+        f" ({len(got_lines)} lines against {len(want_lines)} expected)"
+    )
+
+
+def test_assert_same_text_names_the_first_differing_line():
+    assert_same_text("1 1\n2 3\n", "1 1\n2 3\n")
+    for got, want, message in [
+        ("1 1\n2 4\n3 7\n", "1 1\n2 3\n3 7\n", "line 2: got '2 4\\n', expected '2 3\\n' (3 lines against 3 "),
+        ("1 1\n", "1 1\n2 3\n", "line 2: got None, expected '2 3\\n' (1 lines against 2 "),
+        ("1 1\n2 3", "1 1\n2 3\n", "line 2: got '2 3', expected '2 3\\n' (2 lines against 2 "),
+    ]:
+        with pytest.raises(pytest.fail.Exception, match=re.escape(message)):
+            assert_same_text(got, want)
+
+
 def test_run_end_and_mid_run_counts():
     u = [row[3] for row in oracle_table()]
     assert u[RUN_END - 1] != u[RUN_END]
@@ -117,7 +146,7 @@ def test_run_end_and_mid_run_counts():
 def test_gen_matches_the_oracle_byte_for_byte(capsys, seq, fmt, count):
     code, out, err = run(capsys, "gen", "--seq", seq, "--count", str(count), "--format", fmt)
     assert (code, err) == (0, "")
-    assert out == expected_gen(seq, fmt, count)
+    assert_same_text(out, expected_gen(seq, fmt, count))
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,7 +156,7 @@ def test_gen_matches_the_oracle_at_any_count(count, pair):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run_cli(["gen", "--seq", seq, "--count", str(count), "--format", fmt]) == 0
-    assert out.getvalue() == expected_gen(seq, fmt, count)
+    assert_same_text(out.getvalue(), expected_gen(seq, fmt, count))
 
 
 def wide_window(rows):
@@ -163,7 +192,7 @@ def test_gen_split_into_small_blocks_matches_the_oracle(monkeypatch, capsys, seq
     monkeypatch.setattr(cli, "_GEN_BLOCK", SMALL_BLOCK)
     code, out, err = run(capsys, "gen", "--seq", seq, "--count", str(count), "--format", fmt)
     assert (code, err) == (0, "")
-    assert out == expected_gen(seq, fmt, count)
+    assert_same_text(out, expected_gen(seq, fmt, count))
 
 
 def test_gen_chunks_hold_at_most_one_block_of_rows():

@@ -2,6 +2,7 @@
 public names the package hands out on first access."""
 
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,14 +13,40 @@ import figfig
 
 BFILE = Path(__file__).resolve().parent / "data" / "b005228.txt"
 
+# The body of the `figfig` script: one run_cli call on the child's argv.
+CLI_RUN = "from figfig.cli import run_cli\nstatus = run_cli(sys.argv[1:])\nassert status == 0"
 
-def loaded_after(code, *argv):
-    """The names in sys.modules at the end of a fresh interpreter running code."""
+LIBRARY_CALLS = [
+    ("figfig.eval_u_series(2, 64)\nfigfig.eval_a_series(2, 64)", {"figfig.series"}),
+    ("figfig.check_all(100)", {"figfig.checks", "figfig.stream"}),
+]
+
+COMMANDS = [
+    (("gen", "--seq", "a", "--count", "10"), {"stream"}),
+    (("verify", "--check", "all", "--upto", "100"), {"stream", "checks"}),
+    (("approx", "--seq", "a", "--order", "3", "--n", "1000"), {"stream", "series"}),
+    (("compare", "--seq", "a", "--bfile", str(BFILE)), {"stream", "checks", "bfile"}),
+    (("remainder", "--seq", "u", "--order", "1", "--ns", "10,100"), {"stream", "checks", "series"}),
+]
+
+
+def loaded_after(code, *argv, site=True):
+    """The names in sys.modules at the end of a fresh interpreter running code.
+
+    With site=False the child runs as `python -S`, so it imports nothing
+    that code does not (a `site` hook may import typing, say), and finds
+    figfig through PYTHONPATH alone.
+    """
+    flags, env = (), None
+    if not site:
+        flags = ("-S",)
+        env = {**os.environ, "PYTHONPATH": str(Path(figfig.__file__).resolve().parent.parent)}
     report = "\nprint('\\n'.join(sys.modules), file=sys.stderr)"
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys\n" + code + report, *argv],
+        [sys.executable, *flags, "-c", "import sys\n" + code + report, *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines())
@@ -27,8 +54,7 @@ def loaded_after(code, *argv):
 
 def loaded_by_cli(*argv):
     """sys.modules at the end of one run_cli call, the body of the `figfig` script."""
-    code = "from figfig.cli import run_cli\nstatus = run_cli(sys.argv[1:])\nassert status == 0"
-    return loaded_after(code, *argv)
+    return loaded_after(CLI_RUN, *argv)
 
 
 def test_bare_import_loads_no_module_of_the_package():
@@ -38,23 +64,14 @@ def test_bare_import_loads_no_module_of_the_package():
     assert not loaded & {"argparse", "dataclasses", "fractions", "decimal", "json"}
 
 
-@pytest.mark.parametrize("call, modules", [
-    ("figfig.eval_u_series(2, 64)\nfigfig.eval_a_series(2, 64)", {"figfig.series"}),
-    ("figfig.check_all(100)", {"figfig.checks", "figfig.stream"}),
-])
+@pytest.mark.parametrize("call, modules", LIBRARY_CALLS)
 def test_library_calls_load_only_their_modules(call, modules):
     loaded = loaded_after("import figfig\n" + call)
     assert {name for name in loaded if name.startswith("figfig.")} == modules
     assert not loaded & {"dataclasses", "fractions", "decimal", "json", "argparse"}
 
 
-@pytest.mark.parametrize("argv, modules", [
-    (("gen", "--seq", "a", "--count", "10"), {"stream"}),
-    (("verify", "--check", "all", "--upto", "100"), {"stream", "checks"}),
-    (("approx", "--seq", "a", "--order", "3", "--n", "1000"), {"stream", "series"}),
-    (("compare", "--seq", "a", "--bfile", str(BFILE)), {"stream", "checks", "bfile"}),
-    (("remainder", "--seq", "u", "--order", "1", "--ns", "10,100"), {"stream", "checks", "series"}),
-])
+@pytest.mark.parametrize("argv, modules", COMMANDS)
 def test_commands_load_only_their_modules(argv, modules):
     # None of them loads dataclasses, fractions, decimal or json; only
     # compare loads the b-file code, and gen does not load the checks.
@@ -63,6 +80,20 @@ def test_commands_load_only_their_modules(argv, modules):
         f"figfig.{module}" for module in modules
     }
     assert not loaded & {"dataclasses", "fractions", "decimal", "json"}
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [pytest.param("import figfig", (), id="import")]
+    + [pytest.param("import figfig\n" + call, (), id=call.split("(")[0]) for call, _ in LIBRARY_CALLS]
+    + [pytest.param(CLI_RUN, argv, id=argv[0]) for argv, _ in COMMANDS],
+)
+def test_no_module_imports_typing_or_future_without_site(code, argv):
+    # Annotations are plain builtins and collections.abc, evaluated at
+    # import; loading typing or __future__ would add to every cold start.
+    loaded = loaded_after(code, *argv, site=False)
+    assert "figfig" in loaded
+    assert not loaded & {"typing", "__future__"}
 
 
 def test_every_public_name_is_the_object_of_its_home_module():
