@@ -9,16 +9,21 @@ describe the records.  `parse_bfile` keeps just those two, in a read-only
 `BFileRecords` sequence that hands out a `BFileRecord` only when one is
 asked for, so the parsed records cost one int each.
 
-The read-back is bulk work.  `parse_bfile` takes the source in chunks of
-at most _CHUNK_LINES lines, so its working memory beyond the values is
-bounded by one chunk.  A chunk of plain pairs is converted with a few
-whole-chunk calls; any other chunk is read line by line up to its first
-malformed line.  Either way one body checks the chunk's indices against
-the range that continues the records, in one comparison, and appends its
-values.  `compare_reference` compares the values with the generator's
-column of the sequence a chunk at a time, by list equality, and scans
-only a chunk that differs.  `write_bfile` writes one block of lines per
-chunk.
+The read-back is bulk work.  `parse_bfile` reads a source with `read` (a
+file, an io.StringIO, or a string) in blocks of whole lines, about
+_BLOCK_CHARS (32 Ki) characters each, so its working memory beyond the
+values is one block.  One `%` call checks a whole block: the lines that
+'%d %s' makes of the indices that continue the records and of the block's
+value tokens must give back the block's text, and then only the values
+go through `int`.  A block that fails the check (comments, blank lines,
+other spellings of a number, faults) is read line by line, with the
+records, errors and line numbers of a line-by-line parse.  A source of
+lines is joined _CHUNK_LINES lines at a time and takes the same check
+when each of its elements is one whole line.
+
+`compare_reference` compares the values with the generator's column of
+the sequence a chunk at a time, by list equality, and scans only a chunk
+that differs.  `write_bfile` writes one block of lines per chunk.
 """
 
 import io
@@ -40,6 +45,7 @@ __all__ = [
 ]
 
 _CHUNK_LINES = 1024
+_BLOCK_CHARS = 1 << 15
 
 
 class BFileFormatError(ValueError):
@@ -102,59 +108,112 @@ def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
 
     Raises BFileFormatError naming the line for malformed lines, and
     naming the gap for indices that do not step by 1.
+
+    A source with `read` (a string is read as an io.StringIO) is taken as
+    text whose lines end at each newline character, as a file opened with
+    the default newline handling gives them; any other source is taken as
+    the lines it yields.  So a file opened with newline='' whose lines end
+    in a bare carriage return is passed as a list of its lines.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    lines = iter(source)
+    blocks = _text_blocks(source) if hasattr(source, "read") else _line_blocks(source)
     records = BFileRecords(1, [])
     lineno = 1
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        _extend(records, chunk, lineno)
-        lineno += len(chunk)
+    for text, lines in blocks:
+        if text is None or not (taken := _extend_plain(records, text)):
+            if lines is None:
+                lines = text.split("\n")[:-1]  # the text ends with a newline
+            _extend_lines(records, lines, lineno)
+            taken = len(lines)
+        lineno += taken
     return records
 
 
-def _extend(records: BFileRecords, chunk: list[str], lineno: int) -> None:
-    """Append the records of `chunk`, whose first line is line `lineno`.
+def _text_blocks(source: io.TextIOBase) -> Iterator[tuple[str, None]]:
+    """(text, None) for each block of whole lines that `source.read` gives,
+    _BLOCK_CHARS characters at a time with the last partial line carried
+    over.  A last line without a newline is given one, which changes
+    nothing, since each line is stripped before it is read."""
+    carry = ""
+    while text := source.read(_BLOCK_CHARS):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield carry + text[:cut], None
+            carry = text[cut:]
+        else:
+            carry += text
+    if carry:
+        yield carry + "\n", None
 
-    Raises BFileFormatError for the chunk's first bad line, and leaves
-    `records` untouched then.
 
-    A chunk whose lines all hold exactly two tokens that `int` accepts is
-    converted in bulk.  Such a line is never blank or a comment, since a
-    token that starts with '#' fails `int`, so reading the chunk line by
-    line would give the same pairs.  Any other chunk is read line by line,
-    up to its first malformed line.  The pairs read are then checked in
-    one comparison against the indices that continue the records (from at
-    least 1), and walked only to name the first fault, which comes before
-    any malformed line.
+def _line_blocks(source: Iterable[str]) -> Iterator[tuple[str | None, list[str]]]:
+    """(text, chunk) for each chunk of up to _CHUNK_LINES lines of `source`;
+    text is the chunk joined when each of its lines ends with its one
+    newline, and None otherwise."""
+    lines = iter(source)
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        text = "".join(chunk)
+        whole = text.count("\n") == len(chunk) and all(map(str.endswith, chunk, repeat("\n")))
+        yield (text if whole else None), chunk
+
+
+def _extend_plain(records: BFileRecords, text: str) -> int:
+    """Append the records of `text`, a block of whole lines, if each line
+    is exactly the index that continues the records (from at least 1) as
+    '%d' writes it, one space, one value token that `int` accepts, and a
+    newline.  Return the number of lines appended, or 0, appending nothing,
+    when the block must be read line by line.
+
+    One `%` call rebuilds the whole block from the expected indices and the
+    value tokens, so equal text proves the layout and every index at once,
+    and only the values go through `int`.  Such a line is never blank or a
+    comment, and reading it line by line would give the same pair.
     """
-    linenos = range(lineno, lineno + len(chunk))
-    malformed = None
+    tokens = text.split()
+    size = len(tokens) // 2
+    values = tokens[1::2]
     try:
-        if set(map(len, map(str.split, chunk))) != {2}:
-            raise ValueError
-        # "\n" keeps tokens of adjacent lines apart when a line has no newline.
-        tokens = "\n".join(chunk).split()
-        indices = list(map(int, tokens[0::2]))
-        values = list(map(int, tokens[1::2]))
-    except ValueError:
-        indices, values, linenos = [], [], []
-        for lineno, raw in enumerate(chunk, start=lineno):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if len(parts) != 2:
-                    raise ValueError
-                index, value = int(parts[0]), int(parts[1])
-            except ValueError:
-                malformed = BFileFormatError(f"line {lineno}: expected 'index value', got {line!r}")
-                break
-            indices.append(index)
-            values.append(value)
-            linenos.append(lineno)
+        wanted = records.first + len(records.values) if records.values else int(tokens[0])
+        tokens[::2] = range(wanted, wanted + size)  # ValueError for an odd count
+        if wanted < 1 or "%d %s\n" * size % tuple(tokens) != text:
+            return 0
+        values = list(map(int, values))
+    except (IndexError, ValueError):
+        return 0
+    if not records.values:
+        records.first = wanted
+    records.values += values
+    return size
+
+
+def _extend_lines(records: BFileRecords, lines: list[str], lineno: int) -> None:
+    """Append the records of `lines`, read one by one, whose first is line
+    `lineno`.
+
+    Raises BFileFormatError for the first bad line, and leaves `records`
+    untouched then.  The lines are read up to the first malformed one; the
+    pairs read are then checked in one comparison against the indices that
+    continue the records (from at least 1), and walked only to name the
+    first fault, which comes before any malformed line.
+    """
+    indices, values, linenos = [], [], []
+    malformed = None
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if len(parts) != 2:
+                raise ValueError
+            index, value = int(parts[0]), int(parts[1])
+        except ValueError:
+            malformed = BFileFormatError(f"line {lineno}: expected 'index value', got {line!r}")
+            break
+        indices.append(index)
+        values.append(value)
+        linenos.append(lineno)
     if records.values:
         wanted = records.first + len(records.values)
     else:

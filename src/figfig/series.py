@@ -28,7 +28,6 @@ this changes a bit of any result.
 """
 
 import math
-from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from operator import add, mul, truediv
@@ -59,7 +58,7 @@ def _check_order(order: int) -> None:
         raise ValueError(f"series order must be in 1..{MAX_ORDER}")
 
 
-def _ratios(summed: str) -> Iterator[tuple[int, int]]:
+def _ratios(summed: str) -> "Iterator[tuple[int, int]]":
     """(p, q) at positions k = 1, 2, ...: p / q the coefficient of the u-series ("u") or the a-series ("a").
 
     The one home of the coefficient formula: p_1 = 2, q_1 = 1, p_{k+1} = -2^k p_k,
@@ -127,7 +126,7 @@ class _Prefixes(dict):
 _PREFIXES = _Prefixes()
 
 
-def _ladder_column(ns: Sequence[int], order: int, summed: str) -> tuple[list[float], list[float]]:
+def _ladder_column(ns: "Sequence[int]", order: int, summed: str) -> tuple[list[float], list[float]]:
     """(sums, last rungs) of the u-series ("u") or the a-series tail ("a") at every index of ns.
 
     Each rung is climbed once for the whole column by the float operations

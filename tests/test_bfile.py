@@ -1,6 +1,7 @@
 """B-file parsing, writing, and comparison against the generator."""
 
 import io
+import sys
 import tracemalloc
 from itertools import accumulate, count, islice
 from operator import itemgetter
@@ -210,9 +211,36 @@ def outcome(parse, source):
     return "records", records
 
 
-def assert_parses_like_reference(text):
-    for source in (text, text.splitlines(), text.splitlines(keepends=True)):
-        assert outcome(parse_bfile, source) == outcome(reference_parse, source)
+@pytest.fixture(scope="module")
+def bfile_path(tmp_path_factory):
+    """A file that assert_parses_like_reference rewrites for each text."""
+    return tmp_path_factory.mktemp("bfiles") / "b.txt"
+
+
+def assert_parses_like_reference(text, path):
+    """parse_bfile gives reference_parse's records or error for `text` as a
+    string, an io.StringIO, a list of its lines with and without their
+    newlines, a list of two lines to an element, a list of 7-character
+    pieces, and a file at `path` written with LF and with CRLF line ends
+    and opened with the default newline handling."""
+    lines = text.splitlines(keepends=True)
+    shapes = [
+        lambda: text,
+        lambda: io.StringIO(text),
+        lambda: text.splitlines(),
+        lambda: lines,
+        lambda: ["".join(lines[i : i + 2]) for i in range(0, len(lines), 2)],
+        lambda: [text[i : i + 7] for i in range(0, len(text), 7)],
+    ]
+    for make in shapes:
+        assert outcome(parse_bfile, make()) == outcome(reference_parse, make())
+    for content in (text, text.replace("\n", "\r\n")):
+        path.write_text(content, encoding="utf-8", newline="")
+        found = []
+        for parse in (parse_bfile, reference_parse):
+            with open(path, encoding="utf-8") as source:
+                found.append(outcome(parse, source))
+        assert found[0] == found[1]
 
 
 def token(n, style):
@@ -267,12 +295,18 @@ def bfile_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=bfile_texts(), chunk=st.sampled_from([1, 2, 3, 5, 8]))
+@given(
+    text=bfile_texts(),
+    chunk=st.sampled_from([1, 2, 3, 5, 8]),
+    block=st.sampled_from([1, 2, 5, 16, 64, bfile._BLOCK_CHARS]),
+)
 # Lines without a newline, whose tokens must not run together.
-@example(text="1 5\n2 2", chunk=2)
-def test_parse_matches_the_line_parser_across_chunks(text, chunk):
-    with mock.patch.object(bfile, "_CHUNK_LINES", chunk):
-        assert_parses_like_reference(text)
+@example(text="1 5\n2 2", chunk=2, block=5)
+# One element holding a line and a half, one holding the rest.
+@example(text="1 1\n2 3\n", chunk=2, block=64)
+def test_parse_matches_the_line_parser_across_chunks(bfile_path, text, chunk, block):
+    with mock.patch.object(bfile, "_CHUNK_LINES", chunk), mock.patch.object(bfile, "_BLOCK_CHARS", block):
+        assert_parses_like_reference(text, bfile_path)
 
 
 def plain_lines(count, start=1):
@@ -298,10 +332,10 @@ def plain_lines(count, start=1):
         lambda n: f" +{n}\t0{n}\r\n",
     ],
 )
-def test_parse_faults_at_a_chunk_boundary(line, replace):
+def test_parse_faults_at_a_chunk_boundary(bfile_path, line, replace):
     lines = plain_lines(2 * bfile._CHUNK_LINES + 5)
     lines[line - 1] = replace(line)
-    assert_parses_like_reference("".join(lines))
+    assert_parses_like_reference("".join(lines), bfile_path)
 
 
 def test_parse_bad_value_in_a_plain_chunk_names_its_line():
@@ -317,9 +351,106 @@ def test_parse_bad_value_in_a_plain_chunk_names_its_line():
         (["2 7\n", "4 9\n", "5 1\n"], "line 3: gap at index 3"),
     ):
         with pytest.raises(BFileFormatError) as raised:
-            bfile._extend(records, chunk, 2)
+            bfile._extend_lines(records, chunk, 2)
         assert str(raised.value) == message
         assert records == [BFileRecord(1, 5)]
+
+
+def test_parse_takes_each_element_of_a_list_as_one_line():
+    # Joined, the elements would read as two plain lines.
+    with pytest.raises(BFileFormatError) as raised:
+        parse_bfile(["1 1\n2 ", "3\n"])
+    assert str(raised.value) == "line 1: expected 'index value', got '1 1\\n2'"
+
+
+def test_parse_reads_a_file_as_lines_ended_by_newline(tmp_path):
+    # The default newline handling turns a bare carriage return into a
+    # newline; with newline='' the file's text keeps it, and only the list
+    # of the lines the file yields splits there.
+    path = tmp_path / "cr.txt"
+    path.write_text("1 1\r2 3\r", encoding="utf-8", newline="")
+    with open(path, encoding="utf-8") as source:
+        assert parse_bfile(source) == BFileRecords(1, [1, 3])
+    with open(path, encoding="utf-8", newline="") as source:
+        assert parse_bfile(list(source)) == BFileRecords(1, [1, 3])
+    with open(path, encoding="utf-8", newline="") as source:
+        with pytest.raises(BFileFormatError) as raised:
+            parse_bfile(source)
+    assert str(raised.value) == "line 1: expected 'index value', got '1 1\\r2 3'"
+
+
+# --- Reads cut across lines ----------------------------------------------------
+
+# Reads of 5 characters cut every line of 10 characters in two, and reads of
+# 64 cut the seventh.
+BLOCKS = pytest.mark.parametrize("block", [5, 64])
+
+
+@BLOCKS
+@pytest.mark.parametrize(
+    "replace",
+    [
+        lambda n: f"{n} 12z\n",
+        lambda n: f"{n} 1 2\n",
+        lambda n: f"{n + 1} 5\n",
+        lambda n: f"{n - 1} 5\n",
+        lambda n: f"+{n} 5\n",
+    ],
+)
+def test_parse_fault_on_a_line_cut_across_two_reads(bfile_path, block, replace):
+    lines = plain_lines(30, start=1000)  # 10 characters each
+    cut = max(1, block // 10)  # a line cut in two, past the first
+    lines[cut] = replace(1000 + cut)
+    text = "".join(lines)
+    with mock.patch.object(bfile, "_BLOCK_CHARS", block):
+        assert_parses_like_reference(text, bfile_path)
+        if lines[cut].startswith("+"):  # int() reads "+1006" as 1006
+            values = [3 * n - 7 for n in range(1000, 1030)]
+            values[cut] = 5
+            assert parse_bfile(io.StringIO(text)) == BFileRecords(1000, values)
+        else:
+            with pytest.raises(BFileFormatError, match=f"^line {cut + 1}: "):
+                parse_bfile(io.StringIO(text))
+
+
+@BLOCKS
+@pytest.mark.parametrize("last", ["1029 3080", "1029 30x0", "1031 3080", "# 1029 3080", "  "])
+def test_parse_last_line_without_newline(bfile_path, block, last):
+    text = "".join(plain_lines(29, start=1000)) + last
+    with mock.patch.object(bfile, "_BLOCK_CHARS", block):
+        assert_parses_like_reference(text, bfile_path)
+
+
+@BLOCKS
+def test_parse_after_a_leading_comment_block(bfile_path, block):
+    header = "# A005228 Hofstadter's figure-figure sequence\n#\n\n# n a(n)\n"
+    lines = plain_lines(30, start=1000)
+    with mock.patch.object(bfile, "_BLOCK_CHARS", block):
+        records = parse_bfile(io.StringIO(header + "".join(lines)))
+        assert records == BFileRecords(1000, [3 * n - 7 for n in range(1000, 1030)])
+        assert_parses_like_reference(header + "".join(lines), bfile_path)
+        lines[-1] = "1029 x\n"
+        with pytest.raises(BFileFormatError, match="^line 34: "):
+            parse_bfile(io.StringIO(header + "".join(lines)))
+        assert_parses_like_reference(header + "".join(lines), bfile_path)
+
+
+@BLOCKS
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 5\n1 6\n", "line 1: index must be >= 1, got 0"),
+        ("# c\n0 5\n1 6\n", "line 2: index must be >= 1, got 0"),
+        ("0 5\n" + "".join(plain_lines(30, start=1)), "line 1: index must be >= 1, got 0"),
+        ("-3 5\n-2 6\n", "line 1: index must be >= 1, got -3"),
+    ],
+)
+def test_parse_bad_first_index(bfile_path, block, text, message):
+    with mock.patch.object(bfile, "_BLOCK_CHARS", block):
+        with pytest.raises(BFileFormatError) as raised:
+            parse_bfile(io.StringIO(text))
+        assert str(raised.value) == message
+        assert_parses_like_reference(text, bfile_path)
 
 
 def test_parse_with_comments_gives_each_record_once():
@@ -343,6 +474,26 @@ def test_parse_keeps_one_int_per_record():
         tracemalloc.stop()
     assert records == [BFileRecord(n, int(line.split()[1])) for n, line in enumerate(lines, start=1)]
     assert peak < 80 * len(lines)
+
+
+def test_parse_of_a_file_keeps_one_block_of_work(tmp_path):
+    # A block of whole lines costs about 12 bytes per character while it is
+    # checked (its text, the rebuilt text, two tokens and an index per line),
+    # so the peak may pass the values by that for one block; the whole
+    # file at once would take about 9 MB here.
+    values = list(islice(_column("a", 1), 50_000))
+    path = tmp_path / "a.txt"
+    path.write_text("".join(f"{n} {a}\n" for n, a in enumerate(values, start=1)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as source:
+            records = parse_bfile(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records == BFileRecords(1, values)
+    kept = sys.getsizeof(records.values) + sum(map(sys.getsizeof, records.values))
+    assert peak - kept < 16 * bfile._BLOCK_CHARS
 
 
 def test_write_makes_one_call_per_block():

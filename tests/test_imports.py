@@ -96,6 +96,15 @@ def test_no_module_imports_typing_or_future_without_site(code, argv):
     assert not loaded & {"typing", "__future__"}
 
 
+def test_series_call_loads_no_collections_abc_without_site():
+    # The series module annotates with quoted names, so its first call
+    # imports no collections.abc where nothing else has (functools still
+    # loads collections itself).
+    loaded = loaded_after("import figfig\nfigfig.eval_u_series(2, 64)", site=False)
+    assert "figfig.series" in loaded
+    assert "collections.abc" not in loaded
+
+
 def test_every_public_name_is_the_object_of_its_home_module():
     assert sorted(figfig.__all__) == figfig.__all__
     assert len(figfig.__all__) == 27
