@@ -15,11 +15,15 @@ _BLOCK_CHARS (32 Ki) characters each, so its working memory beyond the
 values is one block.  One `%` call checks a whole block: the lines that
 '%d %s' makes of the indices that continue the records and of the block's
 value tokens must give back the block's text, and then only the values
-go through `int`.  A block that fails the check (comments, blank lines,
-other spellings of a number, faults) is read line by line, with the
-records, errors and line numbers of a line-by-line parse.  A source of
-lines is joined _CHUNK_LINES lines at a time and takes the same check
-when each of its elements is one whole line.
+go through `int`.  A block that fails the check is split into lines.
+Its leading blank and '#' lines (a b-file's header) carry no data, and
+the rest gets the check again.  What still fails goes to the chunk
+reader: lines that each hold two tokens that `int` accepts (other
+spacing, other spellings of a number) are converted in bulk, and any
+other chunk is read line by line, with the records, errors and line
+numbers of a line-by-line parse.  A source of lines is taken
+_CHUNK_LINES lines at a time, and takes the same check when each of its
+elements is one whole line, with or without its newline.
 
 `compare_reference` compares the values with the generator's column of
 the sequence a chunk at a time, by list equality, and scans only a chunk
@@ -121,12 +125,7 @@ def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
     records = BFileRecords(1, [])
     lineno = 1
     for text, lines in blocks:
-        if text is None or not (taken := _extend_plain(records, text)):
-            if lines is None:
-                lines = text.split("\n")[:-1]  # the text ends with a newline
-            _extend_lines(records, lines, lineno)
-            taken = len(lines)
-        lineno += taken
+        lineno += _extend_block(records, text, lines, lineno)
     return records
 
 
@@ -149,13 +148,50 @@ def _text_blocks(source: io.TextIOBase) -> Iterator[tuple[str, None]]:
 
 def _line_blocks(source: Iterable[str]) -> Iterator[tuple[str | None, list[str]]]:
     """(text, chunk) for each chunk of up to _CHUNK_LINES lines of `source`;
-    text is the chunk joined when each of its lines ends with its one
-    newline, and None otherwise."""
+    text is the chunk as a block of whole lines, when each of its lines
+    ends with its one newline or none holds one (as `str.splitlines` gives
+    them), and None otherwise."""
     lines = iter(source)
     while chunk := list(islice(lines, _CHUNK_LINES)):
         text = "".join(chunk)
-        whole = text.count("\n") == len(chunk) and all(map(str.endswith, chunk, repeat("\n")))
-        yield (text if whole else None), chunk
+        newlines = text.count("\n")
+        if not newlines:
+            text = "\n".join(chunk) + "\n"
+        elif newlines != len(chunk) or not all(map(str.endswith, chunk, repeat("\n"))):
+            text = None
+        yield text, chunk
+
+
+def _extend_block(
+    records: BFileRecords, text: str | None, lines: list[str] | None, lineno: int
+) -> int:
+    """Append the records of a block of lines whose first is line `lineno`,
+    and return the number of its lines.  The block is `text`, its lines
+    joined with their newlines, and `lines`, the same lines with or without
+    their newlines; either may be None.
+
+    A block that fails the one-`%` check is split into its lines.  Its
+    leading blank and '#' lines, such as a b-file's header, carry no data,
+    so the rest gets the check again; if that fails too, `_extend` reads
+    the rest.
+    """
+    if text is not None:
+        if taken := _extend_plain(records, text):
+            return taken
+        if lines is None:
+            lines = text.split("\n")[:-1]  # the text ends with a newline
+    skip = 0
+    for line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            break
+        skip += 1
+    rest = lines[skip:]
+    if skip and rest and text is not None:
+        if taken := _extend_plain(records, text.split("\n", skip)[skip]):
+            return skip + taken
+    _extend(records, rest, lineno + skip)
+    return len(lines)
 
 
 def _extend_plain(records: BFileRecords, text: str) -> int:
@@ -163,13 +199,15 @@ def _extend_plain(records: BFileRecords, text: str) -> int:
     is exactly the index that continues the records (from at least 1) as
     '%d' writes it, one space, one value token that `int` accepts, and a
     newline.  Return the number of lines appended, or 0, appending nothing,
-    when the block must be read line by line.
+    when the block must be read some other way.
 
     One `%` call rebuilds the whole block from the expected indices and the
     value tokens, so equal text proves the layout and every index at once,
     and only the values go through `int`.  Such a line is never blank or a
     comment, and reading it line by line would give the same pair.
     """
+    if text.count(" ") != text.count("\n"):
+        return 0  # not one space to a line: spare the split and the rebuild
     tokens = text.split()
     size = len(tokens) // 2
     values = tokens[1::2]
@@ -187,33 +225,47 @@ def _extend_plain(records: BFileRecords, text: str) -> int:
     return size
 
 
-def _extend_lines(records: BFileRecords, lines: list[str], lineno: int) -> None:
-    """Append the records of `lines`, read one by one, whose first is line
-    `lineno`.
+def _extend(records: BFileRecords, chunk: list[str], lineno: int) -> None:
+    """Append the records of `chunk`, whose first line is line `lineno`.
 
-    Raises BFileFormatError for the first bad line, and leaves `records`
-    untouched then.  The lines are read up to the first malformed one; the
-    pairs read are then checked in one comparison against the indices that
-    continue the records (from at least 1), and walked only to name the
-    first fault, which comes before any malformed line.
+    Raises BFileFormatError for the chunk's first bad line, and leaves
+    `records` untouched then.
+
+    A chunk whose lines all hold exactly two tokens that `int` accepts is
+    converted in bulk.  Such a line is never blank or a comment, since a
+    token that starts with '#' fails `int`, so reading the chunk line by
+    line would give the same pairs.  Any other chunk is read line by line,
+    up to its first malformed line.  The pairs read are then checked in
+    one comparison against the indices that continue the records (from at
+    least 1), and walked only to name the first fault, which comes before
+    any malformed line.
     """
-    indices, values, linenos = [], [], []
+    linenos = range(lineno, lineno + len(chunk))
     malformed = None
-    for lineno, raw in enumerate(lines, start=lineno):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if len(parts) != 2:
-                raise ValueError
-            index, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            malformed = BFileFormatError(f"line {lineno}: expected 'index value', got {line!r}")
-            break
-        indices.append(index)
-        values.append(value)
-        linenos.append(lineno)
+    try:
+        if set(map(len, map(str.split, chunk))) != {2}:
+            raise ValueError
+        # "\n" keeps tokens of adjacent lines apart when a line has no newline.
+        tokens = "\n".join(chunk).split()
+        indices = list(map(int, tokens[0::2]))
+        values = list(map(int, tokens[1::2]))
+    except ValueError:
+        indices, values, linenos = [], [], []
+        for lineno, raw in enumerate(chunk, start=lineno):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            try:
+                if len(parts) != 2:
+                    raise ValueError
+                index, value = int(parts[0]), int(parts[1])
+            except ValueError:
+                malformed = BFileFormatError(f"line {lineno}: expected 'index value', got {line!r}")
+                break
+            indices.append(index)
+            values.append(value)
+            linenos.append(lineno)
     if records.values:
         wanted = records.first + len(records.values)
     else:

@@ -314,7 +314,9 @@ def plain_lines(count, start=1):
 
 
 # One line of a plain file replaced, at the last line of the first chunk or
-# the first line of the second; the file spans three chunks.
+# the first line of the second; as a line stream the file spans three
+# chunks.  As text it is read in one block, and in blocks that end just
+# before the line and just after it.
 @pytest.mark.parametrize("line", [bfile._CHUNK_LINES, bfile._CHUNK_LINES + 1])
 @pytest.mark.parametrize(
     "replace",
@@ -335,7 +337,10 @@ def plain_lines(count, start=1):
 def test_parse_faults_at_a_chunk_boundary(bfile_path, line, replace):
     lines = plain_lines(2 * bfile._CHUNK_LINES + 5)
     lines[line - 1] = replace(line)
-    assert_parses_like_reference("".join(lines), bfile_path)
+    text = "".join(lines)
+    for block in (bfile._BLOCK_CHARS, len("".join(lines[: line - 1])), len("".join(lines[:line]))):
+        with mock.patch.object(bfile, "_BLOCK_CHARS", block):
+            assert_parses_like_reference(text, bfile_path)
 
 
 def test_parse_bad_value_in_a_plain_chunk_names_its_line():
@@ -351,9 +356,35 @@ def test_parse_bad_value_in_a_plain_chunk_names_its_line():
         (["2 7\n", "4 9\n", "5 1\n"], "line 3: gap at index 3"),
     ):
         with pytest.raises(BFileFormatError) as raised:
-            bfile._extend_lines(records, chunk, 2)
+            bfile._extend(records, chunk, 2)
         assert str(raised.value) == message
         assert records == [BFileRecord(1, 5)]
+
+
+def test_parse_checks_the_records_after_a_header_in_bulk(monkeypatch):
+    # The header fails the one-% check of the first block; the lines after
+    # it get the check again, and none is read by the chunk reader.
+    extend = mock.Mock(wraps=bfile._extend)
+    monkeypatch.setattr(bfile, "_extend", extend)
+    with open(DATA / "b005228.txt", encoding="utf-8") as source:
+        text = source.read()
+    lines = text.splitlines(keepends=True)
+    assert lines[0].startswith("#") and len(lines) == 10_001
+    expected = reference_parse(text)
+    for source in (io.StringIO(text), lines, text.splitlines()):
+        assert parse_bfile(source) == expected
+    extend.assert_not_called()
+
+
+def test_parse_gives_the_chunk_reader_the_lines_after_a_header(monkeypatch):
+    # Tabs fail the % check; the header is left out of what `_extend` gets,
+    # so each of its lines holds two tokens and they convert in bulk.
+    text = "# header\n\n" + "".join(f"{n}\t{3 * n}\n" for n in range(1, 101))
+    extend = mock.Mock(wraps=bfile._extend)
+    monkeypatch.setattr(bfile, "_extend", extend)
+    assert parse_bfile(text) == BFileRecords(1, [3 * n for n in range(1, 101)])
+    [(_, lines, lineno)] = [call.args for call in extend.call_args_list]
+    assert (lines[0], len(lines), lineno) == ("1\t3", 100, 3)
 
 
 def test_parse_takes_each_element_of_a_list_as_one_line():
@@ -421,7 +452,8 @@ def test_parse_last_line_without_newline(bfile_path, block, last):
         assert_parses_like_reference(text, bfile_path)
 
 
-@BLOCKS
+# Reads of 128 characters put the header and seven records in the first block.
+@pytest.mark.parametrize("block", [5, 64, 128])
 def test_parse_after_a_leading_comment_block(bfile_path, block):
     header = "# A005228 Hofstadter's figure-figure sequence\n#\n\n# n a(n)\n"
     lines = plain_lines(30, start=1000)
