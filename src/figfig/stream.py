@@ -33,6 +33,12 @@ start)` chains one of them across the windows from `start`, which the
 b-file compare and the decade means read; `_heads` reads the values at a
 few sparse indices, for value_at and the remainder table; and `_rows`
 zips each window's columns into `Triple` rows for TripleStream.
+
+The index column, which counts up by 1, is written as text by
+`_numbered`, for `figfig gen` and for the b-file reader's check and its
+writer: a thousand lines at a time from a cached template, with only the
+thousands prefix converted, in place of one int-to-decimal conversion
+per line.
 """
 
 from collections import namedtuple
@@ -153,6 +159,37 @@ def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
     return chain.from_iterable(
         map(tuple.__new__, repeat(Triple), zip(*_columns(*window))) for window in _runs(start, lag)
     )
+
+
+# (head, tail) -> head + "\0" + "%03d" % j + tail for j = 0 .. 999, one
+# template of a thousand lines per pair that _numbered is asked for.
+_THOUSANDS: dict[tuple[str, str], str] = {}
+
+
+def _numbered(head: str, tail: str, lo: int, hi: int) -> str:
+    """The lines head + str(n) + tail for n in range(lo, hi), as one string.
+
+    From 1000 on, each aligned thousand of lines is cut out of a cached
+    template of a thousand lines by slicing, and its thousands prefix is
+    written in by one str.replace of the template's NUL mark; lower n are
+    converted one by one.  head and tail hold no NUL.  A `%` field in tail
+    is left for the caller, whose `%` comes after the mark is replaced.
+    """
+    text = "".join([head + str(n) + tail for n in range(lo, min(hi, 1000))])
+    lo = max(lo, 1000)
+    if lo >= hi:
+        return text
+    thousand = _THOUSANDS.get((head, tail))
+    if thousand is None:
+        thousand = "".join([f"{head}\0{j:03d}{tail}" for j in range(1000)])
+        _THOUSANDS[head, tail] = thousand
+    width = len(thousand) // 1000
+    parts = [text]
+    for prefix in range(lo // 1000, (hi - 1) // 1000 + 1):
+        base = prefix * 1000
+        cut = thousand[width * max(lo - base, 0) : width * min(hi - base, 1000)]
+        parts.append(cut.replace("\0", str(prefix)))
+    return "".join(parts)
 
 
 def _recorded(values: Iterator[int], into: list[int]) -> Iterator[int]:

@@ -313,6 +313,10 @@ def plain_lines(count, start=1):
     return [f"{n} {3 * n - 7}\n" for n in range(start, start + count)]
 
 
+def plain_records(start, count):
+    return BFileRecords(start, [3 * n - 7 for n in range(start, start + count)])
+
+
 # One line of a plain file replaced, at the last line of the first chunk or
 # the first line of the second; as a line stream the file spans three
 # chunks.  As text it is read in one block, and in blocks that end just
@@ -392,6 +396,72 @@ def test_parse_takes_each_element_of_a_list_as_one_line():
     with pytest.raises(BFileFormatError) as raised:
         parse_bfile(["1 1\n2 ", "3\n"])
     assert str(raised.value) == "line 1: expected 'index value', got '1 1\\n2'"
+
+
+def test_parse_tests_list_elements_only_after_the_check_passes(monkeypatch):
+    # Tab-separated lines with their newlines, as readlines() gives them:
+    # the joined chunk fails the one-% check at once, so no element is
+    # tested for its newline, and the chunk reader reads each chunk.
+    text = (DATA / "b005228.txt").read_text(encoding="utf-8").replace(" ", "\t")
+    lines = text.splitlines(keepends=True)
+    tested = []
+    real_repeat = bfile.repeat
+    monkeypatch.setattr(bfile, "repeat", lambda x, *n: tested.append(x) or real_repeat(x, *n))
+    extend = mock.Mock(wraps=bfile._extend)
+    monkeypatch.setattr(bfile, "_extend", extend)
+    assert parse_bfile(lines) == reference_parse(text)
+    assert "\n" not in tested
+    assert extend.call_count == -(-len(lines) // bfile._CHUNK_LINES)
+
+
+@pytest.mark.parametrize("header", [[], ["# header\n", "\n"]])
+def test_parse_element_holding_two_lines_is_read_line_by_line(header):
+    # One element holds two lines and another line is cut across two
+    # elements: the chunk has one newline to an element and its joined text
+    # passes the one-% check (after the header too), but its elements are
+    # not whole lines, so the line reader names the element with two lines.
+    plain = plain_lines(50)
+    elements = [*header, *plain[:10], plain[10] + plain[11], *plain[12:20]]
+    elements += [plain[20][:2], plain[20][2:], *plain[21:]]
+    assert "".join(elements).count("\n") == len(elements)
+    with pytest.raises(BFileFormatError) as raised:
+        parse_bfile(elements)
+    merged = (plain[10] + plain[11]).strip()
+    assert str(raised.value) == f"line {len(header) + 11}: expected 'index value', got {merged!r}"
+    assert outcome(parse_bfile, elements) == outcome(reference_parse, elements)
+
+
+def test_parse_checks_every_element_of_a_chunk_after_a_header():
+    # The header element holds no newline and the next element two, so the
+    # text after the header's one line is the second line alone, which
+    # passes the check; the elements do not.
+    with pytest.raises(BFileFormatError) as raised:
+        parse_bfile(["#c", "1 1\n2 2\n"])
+    assert str(raised.value) == "line 2: expected 'index value', got '1 1\\n2 2'"
+
+
+@pytest.mark.parametrize("start", [998, 10**12 - 3])
+def test_parse_reads_a_canonical_file_by_the_one_check_alone(monkeypatch, start):
+    # The thousands prefix of the expected index lines changes inside the
+    # first block, and again every thousand lines.
+    monkeypatch.setattr(bfile, "_extend", mock.Mock(side_effect=AssertionError("read line by line")))
+    values = [3 * n - 7 for n in range(start, start + 3 * bfile._CHUNK_LINES)]
+    text = "".join(f"{n} {v}\n" for n, v in zip(count(start), values))
+    for source in (text, io.StringIO(text), text.splitlines(keepends=True), text.splitlines()):
+        assert parse_bfile(source) == BFileRecords(start, values)
+
+
+@pytest.mark.parametrize("spelling", ["0999", "+1000"])
+def test_parse_index_spelled_otherwise_falls_back(bfile_path, monkeypatch, spelling):
+    lines = plain_lines(40, start=990)
+    index = int(spelling)
+    lines[index - 990] = f"{spelling} {3 * index - 7}\n"
+    text = "".join(lines)
+    extend = mock.Mock(wraps=bfile._extend)
+    monkeypatch.setattr(bfile, "_extend", extend)
+    assert parse_bfile(text) == reference_parse(text) == plain_records(990, 40)
+    extend.assert_called_once()
+    assert_parses_like_reference(text, bfile_path)
 
 
 def test_parse_reads_a_file_as_lines_ended_by_newline(tmp_path):
@@ -526,6 +596,22 @@ def test_parse_of_a_file_keeps_one_block_of_work(tmp_path):
     assert records == BFileRecords(1, values)
     kept = sys.getsizeof(records.values) + sum(map(sys.getsizeof, records.values))
     assert peak - kept < 16 * bfile._BLOCK_CHARS
+
+
+@pytest.mark.parametrize("first", [1, 998, 10**12])
+def test_write_spells_each_line_as_str_does(first):
+    values = [3 * n - 7 for n in range(first, first + 2 * bfile._CHUNK_LINES + 5)]
+    values[3] = True
+    want = "".join(f"{n} {value}\n" for n, value in zip(count(first), values))
+    assert f"{first + 3} True\n" in want
+    for records in (
+        BFileRecords(first, values),
+        [BFileRecord(n, value) for n, value in zip(count(first), values)],
+        list(zip(count(first), values)),
+    ):
+        sink = io.StringIO()
+        write_bfile(records, sink)
+        assert sink.getvalue() == want
 
 
 def test_write_makes_one_call_per_block():

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from figfig import cli, run_cli
+from figfig import BFileRecords, cli, parse_bfile, run_cli, stream, write_bfile
 
 from oracle import oracle_triples
 
@@ -213,6 +213,17 @@ def test_gen_chunks_hold_at_most_one_block_of_rows():
     assert rows[-1][0] == count
     for (n, a, b, u), (n_next, a_next, _, _) in zip(rows, rows[1:]):
         assert (n_next, a_next, u) == (n + 1, a + b, b - n)
+
+
+def test_gen_and_bfile_keep_one_line_template_each(monkeypatch, capsys):
+    monkeypatch.setattr(stream, "_THOUSANDS", {})
+    for seq, fmt in GEN_PAIRS:
+        assert run(capsys, "gen", "--seq", seq, "--count", "2500", "--format", fmt)[0] == 0
+    sink = io.StringIO()
+    write_bfile(BFileRecords(990, list(range(3000))), sink)
+    assert parse_bfile(sink.getvalue()) == BFileRecords(990, list(range(3000)))
+    lines = {line for _, line in cli._GEN_FORMATS.values()}
+    assert set(stream._THOUSANDS) == lines | {("", " %s\n")}
 
 
 @pytest.mark.parametrize("seq,fmt", GEN_PAIRS)

@@ -12,10 +12,20 @@ from figfig import (
     compare_reference,
     decade_remainder_means,
     remainder_table,
+    stream,
     value_at,
 )
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
-from figfig.stream import SEQUENCE_IDS, _a_values, _column, _columns, _recorded, _rows, _runs
+from figfig.stream import (
+    SEQUENCE_IDS,
+    _a_values,
+    _column,
+    _columns,
+    _numbered,
+    _recorded,
+    _rows,
+    _runs,
+)
 
 from oracle import oracle_triples
 
@@ -319,3 +329,37 @@ def test_readme_window_counts():
     windows = sum(1 for _ in takewhile(lambda window: window[0] <= 10**6, _runs(1)))
     assert windows == value_at("u", 10**6) == 1384
     assert 44_000 < value_at("u", 10**9) < 45_500
+
+
+# --- Numbered lines from the cached thousand-line template --------------------
+
+# Where the thousands prefix gains a digit, and where ints pass 64 bits.
+NUMBER_EDGES = [1, 999, 1000, 9_999, 10_000, 999_999, 10**6, 10**18 - 1, 10**18, 2**64]
+HEADS = st.sampled_from(["", '{"n": ', "x"])
+TAILS = st.sampled_from([" %s\n", ",%d,%d,\x01\n", ', "a": %d}\n', "\n", "", "%%"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=HEADS,
+    tail=TAILS,
+    edge=st.sampled_from(NUMBER_EDGES),
+    before=st.integers(-5, 2_500),
+    after=st.integers(-5, 2_500),
+)
+def test_numbered_matches_one_line_per_index(head, tail, edge, before, after):
+    lo, hi = edge - before, edge + after  # an empty range when hi <= lo
+    got, want = _numbered(head, tail, lo, hi), "".join(f"{head}{n}{tail}" for n in range(lo, hi))
+    if got != want:  # name the first difference; a diff of the whole text takes minutes
+        at = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), len(want))
+        pytest.fail(f"from character {at}: got {got[at:at + 40]!r}, expected {want[at:at + 40]!r}")
+
+
+def test_numbered_keeps_one_template_per_head_and_tail(monkeypatch):
+    monkeypatch.setattr(stream, "_THOUSANDS", {})
+    for lo in (0, 998, 5_000, 10**12 - 3):
+        for tail in (" %s\n", ",%d\n"):
+            assert _numbered("", tail, lo, lo + 3_000).count("\n") == 3_000
+    assert _numbered("", " %s\n", 998, 998) == ""
+    assert sorted(stream._THOUSANDS) == [("", " %s\n"), ("", ",%d\n")]
+    assert [len(t) for t in stream._THOUSANDS.values()] == [8_000, 8_000]
