@@ -20,14 +20,10 @@ the template in place of a '%d' per line, the median read-back rate on
 the benchmark's `gen` workload rose from 2.03 M to 2.44 M records/s.)
 A block that fails the check is split into lines.  Its leading blank
 and '#' lines (a b-file's header) carry no data, and the rest gets the
-check again.  What still fails goes to the chunk
-reader: lines that each hold two tokens that `int` accepts (other
-spacing, other spellings of a number) are converted in bulk, and any
-other chunk is read line by line, with the records, errors and line
-numbers of a line-by-line parse.  A source of lines is taken
-_CHUNK_LINES lines at a time, and takes the same check when each of its
-elements is one whole line, with or without its newline; that each
-element ends with its newline is tested only once the check has passed.
+check again.  What still fails is read by the line reader, one line at
+a time, with the records, errors and line numbers of a line-by-line
+parse.  Any other source (a list or an iterator of lines) is read whole
+by the line reader.
 
 `compare_reference` compares the values with the generator's column of
 the sequence a chunk at a time, by list equality, and scans only a chunk
@@ -126,98 +122,64 @@ def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    blocks = _text_blocks(source) if hasattr(source, "read") else _line_blocks(source)
     records = BFileRecords(1, [])
+    if not hasattr(source, "read"):
+        _read_lines(records, source, 1)
+        return records
     lineno = 1
-    for text, lines, joined in blocks:
-        lineno += _extend_block(records, text, lines, joined, lineno)
+    for text in _text_blocks(source):
+        lineno += _extend_block(records, text, lineno)
     return records
 
 
-def _text_blocks(source: io.TextIOBase) -> Iterator[tuple[str, None, None]]:
-    """(text, None, None) for each block of whole lines that `source.read`
-    gives, _BLOCK_CHARS characters at a time with the last partial line
-    carried over.  A last line without a newline is given one, which
-    changes nothing, since each line is stripped before it is read."""
+def _text_blocks(source: io.TextIOBase) -> Iterator[str]:
+    """Each block of whole lines that `source.read` gives, _BLOCK_CHARS
+    characters at a time with the last partial line carried over.  A last
+    line without a newline is given one, which changes nothing, since each
+    line is stripped before it is read."""
     carry = ""
     while text := source.read(_BLOCK_CHARS):
         cut = text.rfind("\n") + 1
         if cut:
-            yield carry + text[:cut], None, None
+            yield carry + text[:cut]
             carry = text[cut:]
         else:
             carry += text
     if carry:
-        yield carry + "\n", None, None
+        yield carry + "\n"
 
 
-def _line_blocks(source: Iterable[str]) -> Iterator[tuple[str | None, list[str], list[str] | None]]:
-    """(text, chunk, joined) for each chunk of up to _CHUNK_LINES lines of
-    `source`.
-
-    text is the chunk as a block of whole lines, or None: a chunk with no
-    newline (as `str.splitlines` gives lines) is joined by newlines, and a
-    chunk with one newline to a line is joined as it is.  In that second
-    case text stands for the chunk only when each of its lines ends with
-    its newline, so the chunk is also given as `joined`, for _extend_plain
-    to test once the text has passed its check; joined is None otherwise.
-    """
-    lines = iter(source)
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        text = "".join(chunk)
-        newlines = text.count("\n")
-        if not newlines:
-            yield "\n".join(chunk) + "\n", chunk, None
-        elif newlines == len(chunk):
-            yield text, chunk, chunk
-        else:
-            yield None, chunk, None
-
-
-def _extend_block(
-    records: BFileRecords,
-    text: str | None,
-    lines: list[str] | None,
-    joined: list[str] | None,
-    lineno: int,
-) -> int:
-    """Append the records of a block of lines whose first is line `lineno`,
-    and return the number of its lines.  The block is `text`, its lines
-    joined with their newlines, and `lines`, the same lines with or without
-    their newlines; either may be None.  `joined` is as _line_blocks gives it.
+def _extend_block(records: BFileRecords, text: str, lineno: int) -> int:
+    """Append the records of `text`, a block of whole lines whose first is
+    line `lineno`, and return the number of its lines.
 
     A block that fails the one-`%` check is split into its lines.  Its
     leading blank and '#' lines, such as a b-file's header, carry no data,
-    so the rest gets the check again; if that fails too, `_extend` reads
-    the rest.
+    so the rest gets the check again; if that fails too, `_read_lines`
+    reads the rest.
     """
-    if text is not None:
-        if taken := _extend_plain(records, text, joined):
-            return taken
-        if lines is None:
-            lines = text.split("\n")[:-1]  # the text ends with a newline
+    if taken := _extend_plain(records, text):
+        return taken
+    lines = text.split("\n")[:-1]  # the text ends with a newline
     skip = 0
     for line in lines:
         line = line.strip()
         if line and not line.startswith("#"):
             break
         skip += 1
-    rest = lines[skip:]
-    if skip and rest and text is not None:
-        if taken := _extend_plain(records, text.split("\n", skip)[skip], joined):
+    if 0 < skip < len(lines):
+        if taken := _extend_plain(records, text.split("\n", skip)[skip]):
             return skip + taken
-    _extend(records, rest, lineno + skip)
+    _read_lines(records, lines[skip:], lineno + skip)
     return len(lines)
 
 
-def _extend_plain(records: BFileRecords, text: str, joined: list[str] | None) -> int:
+def _extend_plain(records: BFileRecords, text: str) -> int:
     """Append the records of `text`, a block of whole lines, if each line
     is exactly the index that continues the records (from at least 1) as
     '%d' writes it, one space, one value token that `int` accepts, and a
     newline.  Return the number of lines appended, or 0, appending nothing,
-    when the block must be read some other way.  If `joined` is not None,
-    `text` stands for its lines only when each of them ends with its
-    newline, which is tested once the text has passed.
+    when the block must be read line by line.
 
     One `%` call fills the expected index lines of stream._numbered with
     the value tokens and rebuilds the whole block, so equal text proves the
@@ -237,8 +199,6 @@ def _extend_plain(records: BFileRecords, text: str, joined: list[str] | None) ->
             return 0
         if _numbered("", " %s\n", wanted, wanted + len(values)) % tuple(values) != text:
             return 0
-        if joined is not None and not all(map(str.endswith, joined, repeat("\n"))):
-            return 0
         values = list(map(int, values))
     except (IndexError, ValueError):
         return 0
@@ -248,66 +208,35 @@ def _extend_plain(records: BFileRecords, text: str, joined: list[str] | None) ->
     return len(values)
 
 
-def _extend(records: BFileRecords, chunk: list[str], lineno: int) -> None:
-    """Append the records of `chunk`, whose first line is line `lineno`.
+def _read_lines(records: BFileRecords, lines: Iterable[str], lineno: int) -> None:
+    """Append the records of `lines`, whose first is line `lineno`, one
+    line at a time.
 
-    Raises BFileFormatError for the chunk's first bad line, and leaves
-    `records` untouched then.
-
-    A chunk whose lines all hold exactly two tokens that `int` accepts is
-    converted in bulk.  Such a line is never blank or a comment, since a
-    token that starts with '#' fails `int`, so reading the chunk line by
-    line would give the same pairs.  Any other chunk is read line by line,
-    up to its first malformed line.  The pairs read are then checked in
-    one comparison against the indices that continue the records (from at
-    least 1), and walked only to name the first fault, which comes before
-    any malformed line.
+    Blank and '#' lines carry no data.  Raises BFileFormatError for the
+    first line that is not two tokens `int` accepts, or whose index is
+    below 1 or does not continue the records.
     """
-    linenos = range(lineno, lineno + len(chunk))
-    malformed = None
-    try:
-        if set(map(len, map(str.split, chunk))) != {2}:
-            raise ValueError
-        # "\n" keeps tokens of adjacent lines apart when a line has no newline.
-        tokens = "\n".join(chunk).split()
-        indices = list(map(int, tokens[0::2]))
-        values = list(map(int, tokens[1::2]))
-    except ValueError:
-        indices, values, linenos = [], [], []
-        for lineno, raw in enumerate(chunk, start=lineno):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if len(parts) != 2:
-                    raise ValueError
-                index, value = int(parts[0]), int(parts[1])
-            except ValueError:
-                malformed = BFileFormatError(f"line {lineno}: expected 'index value', got {line!r}")
-                break
-            indices.append(index)
-            values.append(value)
-            linenos.append(lineno)
-    if records.values:
-        wanted = records.first + len(records.values)
-    else:
-        wanted = indices[0] if indices else 1
-    if wanted < 1 or indices != list(range(wanted, wanted + len(indices))):
-        for index, lineno, expected in zip(indices, linenos, count(wanted)):
+    values = records.values
+    wanted = records.first + len(values) if values else None
+    for lineno, raw in enumerate(lines, start=lineno):
+        parts = raw.split()  # the tokens of raw.strip(), which starts with the first
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            index, value = map(int, parts)  # a ValueError unless two int tokens
+        except ValueError:
+            raise BFileFormatError(f"line {lineno}: expected 'index value', got {raw.strip()!r}") from None
+        if index != wanted:
             if index < 1:
                 raise BFileFormatError(f"line {lineno}: index must be >= 1, got {index}")
-            if index > expected:
-                raise BFileFormatError(f"line {lineno}: gap at index {expected}")
-            if index < expected:
-                raise BFileFormatError(
-                    f"line {lineno}: index {index} does not advance past {expected - 1}"
-                )
-    if malformed is not None:
-        raise malformed
-    if not records.values:
-        records.first = wanted
-    records.values += values
+            if wanted is None:
+                records.first = index
+            elif index > wanted:
+                raise BFileFormatError(f"line {lineno}: gap at index {wanted}")
+            else:
+                raise BFileFormatError(f"line {lineno}: index {index} does not advance past {wanted - 1}")
+        values.append(value)
+        wanted = index + 1
 
 
 def _check_contiguous(records: Sequence[BFileRecord]) -> None:

@@ -297,15 +297,14 @@ def bfile_texts(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     text=bfile_texts(),
-    chunk=st.sampled_from([1, 2, 3, 5, 8]),
     block=st.sampled_from([1, 2, 5, 16, 64, bfile._BLOCK_CHARS]),
 )
 # Lines without a newline, whose tokens must not run together.
-@example(text="1 5\n2 2", chunk=2, block=5)
+@example(text="1 5\n2 2", block=5)
 # One element holding a line and a half, one holding the rest.
-@example(text="1 1\n2 3\n", chunk=2, block=64)
-def test_parse_matches_the_line_parser_across_chunks(bfile_path, text, chunk, block):
-    with mock.patch.object(bfile, "_CHUNK_LINES", chunk), mock.patch.object(bfile, "_BLOCK_CHARS", block):
+@example(text="1 1\n2 3\n", block=64)
+def test_parse_matches_the_line_parser_across_chunks(bfile_path, text, block):
+    with mock.patch.object(bfile, "_BLOCK_CHARS", block):
         assert_parses_like_reference(text, bfile_path)
 
 
@@ -317,9 +316,8 @@ def plain_records(start, count):
     return BFileRecords(start, [3 * n - 7 for n in range(start, start + count)])
 
 
-# One line of a plain file replaced, at the last line of the first chunk or
-# the first line of the second; as a line stream the file spans three
-# chunks.  As text it is read in one block, and in blocks that end just
+# One line of a plain file replaced, at line 1024 or 1025 of a file of 2053
+# lines.  As text it is read in one block, and in blocks that end just
 # before the line and just after it.
 @pytest.mark.parametrize("line", [bfile._CHUNK_LINES, bfile._CHUNK_LINES + 1])
 @pytest.mark.parametrize(
@@ -353,41 +351,31 @@ def test_parse_bad_value_in_a_plain_chunk_names_its_line():
     with pytest.raises(BFileFormatError) as raised:
         parse_bfile("".join(lines))
     assert str(raised.value) == f"line {bfile._CHUNK_LINES + 4}: expected 'index value', got '{bfile._CHUNK_LINES + 4} 12z'"
-    # A chunk with a bad line leaves no partial records behind.
-    records = parse_bfile("1 5\n")
-    for chunk, message in (
-        (["2 7\n", "3 12z\n", "4 9\n"], "line 3: expected 'index value', got '3 12z'"),
-        (["2 7\n", "4 9\n", "5 1\n"], "line 3: gap at index 3"),
-    ):
-        with pytest.raises(BFileFormatError) as raised:
-            bfile._extend(records, chunk, 2)
-        assert str(raised.value) == message
-        assert records == [BFileRecord(1, 5)]
 
 
 def test_parse_checks_the_records_after_a_header_in_bulk(monkeypatch):
     # The header fails the one-% check of the first block; the lines after
-    # it get the check again, and none is read by the chunk reader.
-    extend = mock.Mock(wraps=bfile._extend)
-    monkeypatch.setattr(bfile, "_extend", extend)
-    with open(DATA / "b005228.txt", encoding="utf-8") as source:
-        text = source.read()
-    lines = text.splitlines(keepends=True)
-    assert lines[0].startswith("#") and len(lines) == 10_001
+    # it get the check again, and none is read by the line reader.
+    read_lines = mock.Mock(wraps=bfile._read_lines)
+    monkeypatch.setattr(bfile, "_read_lines", read_lines)
+    path = DATA / "b005228.txt"
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("#") and text.count("\n") == 10_001
     expected = reference_parse(text)
-    for source in (io.StringIO(text), lines, text.splitlines()):
+    assert parse_bfile(io.StringIO(text)) == expected
+    with open(path, encoding="utf-8") as source:
         assert parse_bfile(source) == expected
-    extend.assert_not_called()
+    read_lines.assert_not_called()
 
 
 def test_parse_gives_the_chunk_reader_the_lines_after_a_header(monkeypatch):
-    # Tabs fail the % check; the header is left out of what `_extend` gets,
-    # so each of its lines holds two tokens and they convert in bulk.
+    # Tabs fail the % check; the line reader gets the lines after the
+    # header, numbered from the first of them.
     text = "# header\n\n" + "".join(f"{n}\t{3 * n}\n" for n in range(1, 101))
-    extend = mock.Mock(wraps=bfile._extend)
-    monkeypatch.setattr(bfile, "_extend", extend)
+    read_lines = mock.Mock(wraps=bfile._read_lines)
+    monkeypatch.setattr(bfile, "_read_lines", read_lines)
     assert parse_bfile(text) == BFileRecords(1, [3 * n for n in range(1, 101)])
-    [(_, lines, lineno)] = [call.args for call in extend.call_args_list]
+    [(_, lines, lineno)] = [call.args for call in read_lines.call_args_list]
     assert (lines[0], len(lines), lineno) == ("1\t3", 100, 3)
 
 
@@ -398,28 +386,26 @@ def test_parse_takes_each_element_of_a_list_as_one_line():
     assert str(raised.value) == "line 1: expected 'index value', got '1 1\\n2'"
 
 
-def test_parse_tests_list_elements_only_after_the_check_passes(monkeypatch):
-    # Tab-separated lines with their newlines, as readlines() gives them:
-    # the joined chunk fails the one-% check at once, so no element is
-    # tested for its newline, and the chunk reader reads each chunk.
-    text = (DATA / "b005228.txt").read_text(encoding="utf-8").replace(" ", "\t")
+@pytest.mark.parametrize("tabs", [False, True])
+def test_parse_reads_a_list_of_lines_in_one_call(monkeypatch, tabs):
+    # A list of lines skips the one-% check and goes whole to the line reader.
+    text = (DATA / "b005228.txt").read_text(encoding="utf-8")
+    if tabs:
+        text = text.replace(" ", "\t")
     lines = text.splitlines(keepends=True)
-    tested = []
-    real_repeat = bfile.repeat
-    monkeypatch.setattr(bfile, "repeat", lambda x, *n: tested.append(x) or real_repeat(x, *n))
-    extend = mock.Mock(wraps=bfile._extend)
-    monkeypatch.setattr(bfile, "_extend", extend)
-    assert parse_bfile(lines) == reference_parse(text)
-    assert "\n" not in tested
-    assert extend.call_count == -(-len(lines) // bfile._CHUNK_LINES)
+    read_lines = mock.Mock(wraps=bfile._read_lines)
+    monkeypatch.setattr(bfile, "_read_lines", read_lines)
+    assert outcome(parse_bfile, lines) == outcome(reference_parse, lines)
+    read_lines.assert_called_once()
+    assert read_lines.call_args.args[1:] == (lines, 1)
 
 
 @pytest.mark.parametrize("header", [[], ["# header\n", "\n"]])
 def test_parse_element_holding_two_lines_is_read_line_by_line(header):
     # One element holds two lines and another line is cut across two
-    # elements: the chunk has one newline to an element and its joined text
-    # passes the one-% check (after the header too), but its elements are
-    # not whole lines, so the line reader names the element with two lines.
+    # elements: joined, they would read as plain lines (after the header
+    # too), but each element is one line, so the element with two lines is
+    # named.
     plain = plain_lines(50)
     elements = [*header, *plain[:10], plain[10] + plain[11], *plain[12:20]]
     elements += [plain[20][:2], plain[20][2:], *plain[21:]]
@@ -432,22 +418,23 @@ def test_parse_element_holding_two_lines_is_read_line_by_line(header):
 
 
 def test_parse_checks_every_element_of_a_chunk_after_a_header():
-    # The header element holds no newline and the next element two, so the
-    # text after the header's one line is the second line alone, which
-    # passes the check; the elements do not.
+    # The header element holds no newline and the next element two:
+    # joined, the text after the header would read as two plain lines.
     with pytest.raises(BFileFormatError) as raised:
         parse_bfile(["#c", "1 1\n2 2\n"])
     assert str(raised.value) == "line 2: expected 'index value', got '1 1\\n2 2'"
 
 
 @pytest.mark.parametrize("start", [998, 10**12 - 3])
-def test_parse_reads_a_canonical_file_by_the_one_check_alone(monkeypatch, start):
+def test_parse_reads_a_canonical_file_by_the_one_check_alone(bfile_path, monkeypatch, start):
     # The thousands prefix of the expected index lines changes inside the
     # first block, and again every thousand lines.
-    monkeypatch.setattr(bfile, "_extend", mock.Mock(side_effect=AssertionError("read line by line")))
+    monkeypatch.setattr(bfile, "_read_lines", mock.Mock(side_effect=AssertionError("read line by line")))
     values = [3 * n - 7 for n in range(start, start + 3 * bfile._CHUNK_LINES)]
     text = "".join(f"{n} {v}\n" for n, v in zip(count(start), values))
-    for source in (text, io.StringIO(text), text.splitlines(keepends=True), text.splitlines()):
+    bfile_path.write_text(text, encoding="utf-8")
+    assert parse_bfile(text) == parse_bfile(io.StringIO(text)) == BFileRecords(start, values)
+    with open(bfile_path, encoding="utf-8") as source:
         assert parse_bfile(source) == BFileRecords(start, values)
 
 
@@ -457,10 +444,10 @@ def test_parse_index_spelled_otherwise_falls_back(bfile_path, monkeypatch, spell
     index = int(spelling)
     lines[index - 990] = f"{spelling} {3 * index - 7}\n"
     text = "".join(lines)
-    extend = mock.Mock(wraps=bfile._extend)
-    monkeypatch.setattr(bfile, "_extend", extend)
+    read_lines = mock.Mock(wraps=bfile._read_lines)
+    monkeypatch.setattr(bfile, "_read_lines", read_lines)
     assert parse_bfile(text) == reference_parse(text) == plain_records(990, 40)
-    extend.assert_called_once()
+    read_lines.assert_called_once()
     assert_parses_like_reference(text, bfile_path)
 
 
@@ -565,8 +552,9 @@ def test_parse_with_comments_gives_each_record_once():
 
 
 def test_parse_keeps_one_int_per_record():
-    # The values list and its ints take about 40 bytes per record, and one
-    # chunk of work comes on top; a named tuple per record took about 140.
+    # The values list and its ints take about 40 bytes per record, read
+    # from a list of lines one at a time; a named tuple per record took
+    # about 140.
     lines = [f"{n} {a}\n" for n, a in zip(range(1, 50_001), _column("a", 1))]
     tracemalloc.start()
     try:

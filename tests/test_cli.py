@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from figfig import BFileRecords, cli, parse_bfile, run_cli, stream, write_bfile
+from figfig import BFileRecords, cli, compare_reference, parse_bfile, run_cli, stream, value_at, write_bfile
 
 from oracle import oracle_triples
 
@@ -548,6 +548,19 @@ def test_compare_passing_file(tmp_path, capsys):
     code, out, _ = run(capsys, "compare", "--seq", "u", "--bfile", str(path))
     assert code == 0
     assert out == "compare:u [1, 80]: PASS\n"
+
+
+def test_gen_a_bfile_past_a_million(tmp_path, capsys):
+    # The index prefix of the written lines gains a digit at 10**6.
+    path, n = tmp_path / "a.txt", 1_000_500
+    assert run(capsys, "gen", "--seq", "a", "--count", str(n), "--out", str(path)) == (0, "", "")
+    with open(path, encoding="utf-8") as source:
+        records = parse_bfile(source)
+    assert compare_reference(records, "a").passed
+    with open(path, "rb") as source:
+        source.seek(-100, os.SEEK_END)
+        last = source.read().decode().splitlines()[-1]
+    assert last == f"{n} {value_at('a', n)}"
 
 
 def test_compare_divergent_file(tmp_path, capsys):
