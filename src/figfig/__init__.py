@@ -13,9 +13,7 @@ then kept here, so a caller pays only for the modules it uses:
 `check_all` loads the stream and the checks, but neither the series nor
 any b-file code.  No module of the package imports `typing` or
 `__future__`, so a fresh interpreter that compiles the package from
-source pays for neither: the benchmark's `setup_s` (this import plus
-both series once) fell from a median 3.16 ms to 2.65 ms, and the same
-probe under `python -S` from 11.8 ms to 5.8 ms (README, "Start-up").
+source pays for neither (README, "Start-up").
 """
 
 __version__ = "0.1.0"

@@ -15,10 +15,7 @@ _BLOCK_CHARS (32 Ki) characters each, so its working memory beyond the
 values is one block.  One `%` call checks a whole block: the index lines
 that stream._numbered writes for the indices that continue the records,
 filled with the block's value tokens, must give back the block's text,
-and then only the values go through `int`.  (With the index lines from
-the template in place of a '%d' per line, the median read-back rate on
-the benchmark's `gen` workload rose from 2.03 M to 2.44 M records/s.)
-A block that fails the check is split into lines.  Its leading blank
+and then only the values go through `int`.  A block that fails the check is split into lines.  Its leading blank
 and '#' lines (a b-file's header) carry no data, and the rest gets the
 check again.  What still fails is read by the line reader, one line at
 a time, with the records, errors and line numbers of a line-by-line

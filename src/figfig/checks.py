@@ -34,9 +34,9 @@ from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain, islice, repeat, takewhile
-from operator import add, mul, sub, truediv
+from operator import add, index, mul, sub, truediv
 
-from .stream import CHECK_NAMES, SEQUENCE_IDS, _a_values, _check_seq, _column, _columns, _heads, _recorded, _runs
+from .stream import CHECK_NAMES, SEQUENCE_IDS, _a_values, _check_seq, _column, _columns, _heads, _runs
 
 __all__ = [
     "CHECK_NAMES",
@@ -94,7 +94,7 @@ class _Partition:
 
     min_upto = 1
 
-    def __init__(self, upto: int, prefix: list[int]) -> None:
+    def __init__(self, upto: int) -> None:
         self.upto = upto
         self.failure: tuple[int, str] | None = None
         # The smallest integer not yet covered, and the a-values <= upto
@@ -147,25 +147,42 @@ class _Identities:
 
     min_upto = 2
 
-    def __init__(self, upto: int, prefix: list[int]) -> None:
+    def __init__(self, upto: int) -> None:
         self.upto = upto
         self.failure: tuple[int, str] | None = None
-        # The run bounds a_1..a_{k+1} read so far, for the counting window.
-        self.prefix = prefix
+        # a_k and a_{k+1} of the last window k reached, from a lag of its own.
+        self.a_values = _a_values()
+        self.k, self.a_k, self.a_next = 0, 0, next(self.a_values)
         # u_1 + ... + u_{n-1} and the previous row's a and b.
         self.u_sum = 0
         self.previous_a = self.previous_b = 0
 
+    def counting_window(self, u: int) -> tuple[int, int] | None:
+        """(a_u - u, a_{u+1} - (u + 1)), or None for u < 1.
+
+        The lag steps a window as u does; any other u, which only a faulty
+        row carries (and fails here), gets its bounds by a jump to index u.
+        """
+        if u < 1:
+            return None
+        if u == self.k + 1:
+            self.k, self.a_k, self.a_next = u, self.a_next, next(self.a_values)
+        if u == self.k:
+            return self.a_k - u, self.a_next - (u + 1)
+        (a_u, _, _), (a_next, _, _) = _heads((u, u + 1))
+        return a_u - u, a_next - (u + 1)
+
     def window(self, n: int, a: int, first: int, hi: int, k: int) -> bool:
-        upto, prefix = self.upto, self.prefix
+        upto = self.upto
         last = n + hi - first - 1
         if (n > 1 and a - self.previous_a != self.previous_b) or (
             n <= upto
             and not (
                 first == n + k
                 and a == 1 + (n - 1) * n // 2 + self.u_sum
-                and prefix[k - 1] - k < n
-                and min(last, upto) <= prefix[k] - (k + 1)
+                and (bounds := self.counting_window(k))
+                and bounds[0] < n
+                and min(last, upto) <= bounds[1]
             )
         ):
             return any(map(self.row, *_columns(n, a, first, hi, k)))
@@ -191,11 +208,10 @@ class _Identities:
             failure = (n, f"b = {b} but n + u = {n + u}")
         elif a != 1 + (n - 1) * n // 2 + self.u_sum:
             failure = (n, f"a = {a} but 1 + (n-1)n/2 + sum(u) = {1 + (n - 1) * n // 2 + self.u_sum}")
-        else:
-            window_lo = self.prefix[u - 1] - u
-            window_hi = self.prefix[u] - (u + 1)
-            if not window_lo < n <= window_hi:
-                failure = (n, f"counting window ({window_lo}, {window_hi}] misses n")
+        elif (bounds := self.counting_window(u)) is None:
+            failure = (n, f"u = {u} below 1 has no counting window")
+        elif not bounds[0] < n <= bounds[1]:
+            failure = (n, f"counting window ({bounds[0]}, {bounds[1]}] misses n")
         self.failure = failure
         self.u_sum += u
         self.previous_a, self.previous_b = a, b
@@ -207,7 +223,7 @@ class _Bounds:
 
     min_upto = 1
 
-    def __init__(self, upto: int, prefix: list[int]) -> None:
+    def __init__(self, upto: int) -> None:
         self.upto = upto
         self.failure: tuple[int, str] | None = None
 
@@ -287,10 +303,9 @@ def _run_checks(upto: int, names: Sequence[str]) -> tuple[CheckReport, ...]:
     for name in names:
         if upto < _CHECKS[name].min_upto:
             raise ValueError(f"upto must be >= {_CHECKS[name].min_upto}")
-    prefix: list[int] = []
-    running = {name: _CHECKS[name](upto, prefix) for name in names}
+    running = {name: _CHECKS[name](upto) for name in names}
     reports: dict[str, CheckReport] = {}
-    for window in _runs(1, _recorded(_a_values(), prefix)):
+    for window in _runs(1):
         for name, check in list(running.items()):
             if check.window(*window):
                 reports[name] = CheckReport(name, 1, upto, check.failure is None, check.failure)
@@ -310,8 +325,8 @@ def check_identities(upto: int) -> CheckReport:
 
     Difference (a_{n+1} - a_n = b_n), shift (b_n = n + u_n), the summed
     closed form a_n = 1 + (n-1)n/2 + sum of u_1..u_{n-1}, and the counting
-    window a(u_n) - u_n < n <= a(u_n + 1) - (u_n + 1).  The window reads
-    early a-values from the leading slice the stream has consumed.
+    window a(u_n) - u_n < n <= a(u_n + 1) - (u_n + 1), whose bounds come
+    from a walk of the check's own that keeps pace with the rows checked.
     """
     return _run_checks(upto, ("identities",))[0]
 
@@ -376,8 +391,8 @@ _SERIES_HEADS = {"a": lambda n: n * n / 2, "b": lambda n: n, "u": lambda n: 0}
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
     """RemainderRow for each requested index, all read off one walk of the stream.
 
-    ns must be non-empty and strictly increasing; order is the truncation
-    depth whose next rung scales the remainder.  The walk starts by
+    ns must be non-empty and strictly increasing ints (operator.index);
+    order is the truncation depth whose next rung scales the remainder.  The walk starts by
     O(sqrt n) jump-ahead at the first index and goes on window by window
     to the last, so it costs no more than one jump to the last index.
     The series of all the rows are summed as one column.
@@ -386,6 +401,7 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
 
     _check_seq(seq)
     _check_order(order)
+    ns = list(map(index, ns))
     _check_ns(ns)
     heads = _heads(ns)
     if seq == "a":

@@ -13,12 +13,10 @@ leaves any earlier file as it was and no partial file behind.
 `gen` writes a block of at most 1024 rows, not a window of constant u,
 per string: its n column from the cached thousand-line template of
 stream._numbered, its window's u by one str.replace, and the a and b
-columns by one `%` call.  On the benchmark's `gen` workload (10 seeds,
-one CPU) that took the median wall_s from 0.467 s, when one `%` wrote
-n, a and b, to 0.403 s.  Each subcommand imports what it alone uses, when it runs: `gen` only the
-stream; `verify` the law checks; `remainder` the checks and the series;
-`approx` the series; `coeffs` the series and `fractions`; `compare` the
-b-file reader, which brings the checks.  Only `remainder --format jsonl`
+columns by one `%` call.  Each subcommand imports what it alone uses,
+when it runs: `gen` only the stream; `verify` the law checks; `remainder`
+the checks and the series; `approx` the series; `coeffs` the series and
+`fractions`; `compare` the b-file reader, which brings the checks.  Only `remainder --format jsonl`
 imports `json`, and none imports `dataclasses`.
 """
 

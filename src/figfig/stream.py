@@ -11,10 +11,11 @@ through every integer strictly between consecutive a-values:
 
 A run of b is therefore just a range, and its index window is
 (a_k - k, a_{k+1} - (k + 1)], of width b_k - 1.  The bounds a_k are
-themselves read from a lagging copy of the same generator: the run at
-index n needs a-values only up to index u_n + 1, about sqrt(2 n), and
-that copy in turn needs only about sqrt(2 sqrt(2 n)), so the nesting is
-O(log log n) deep and each row costs amortized O(1) integer operations.
+themselves the a column of the same walk, read from a second walk that
+lags behind it: the run at index n needs a-values only up to index
+u_n + 1, about sqrt(2 n), and that walk in turn needs only about
+sqrt(2 sqrt(2 n)), so the nesting is O(log log n) deep and each row
+costs amortized O(1) integer operations.
 
 Random access follows from the windows.  Since a_n = 1 + (n-1)n/2 + the
 sum of u_i over i < n, and u is constant on each window, that sum is
@@ -25,8 +26,9 @@ a-values and precomputes no table.
 The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
 the indices run from n, u = k throughout, and the next window's a is
-a_n plus the sum of that range.  This module turns windows into values
-(the decade means' column of 2 a_n - n^2, one range per window, aside).
+a_n plus the sum of that range; its lag `_a_values()` is its own a
+column.  This module turns windows into values (the decade means'
+column of 2 a_n - n^2, one range per window, aside).
 `_columns` gives one window's n, a, b and u columns as C-level
 iterables, which the law checks and `figfig gen` read; `_column(seq,
 start)` chains one of them across the windows from `start`, which the
@@ -44,6 +46,7 @@ per line.
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, islice, repeat
+from operator import index
 
 __all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
 
@@ -67,40 +70,27 @@ Triple.__doc__ = "One row of the joint stream: the index and all three values th
 
 
 def _a_values() -> Iterator[int]:
-    """a_1, a_2, ... as running sums of the runs of b.
+    """a_1, a_2, ...: the given 1, 3, 7, then the a column of _runs(4).
 
-    The run bounds come from a lagging instance of this generator.  The
-    first three values are given and the summing starts at b_3 = 5, inside
-    the run between a_2 = 3 and a_3 = 7, so the lag serves those bounds
-    from its own given values.  An instance asks its lag for a_4 only
-    after yielding a_5, so each copy stays well behind the one it feeds.
+    The recursion ends: that walk locates index 4 in window 2 from a_1..a_3
+    of its own lag, all given, and asks its lag for a_4 only when it starts
+    window 3, after its window 2 has given a_4 from the given values.
     """
-    yield from (1, 3, 7)
-    lag = _a_values()
-    for _ in range(3):
-        hi = next(lag)
-    a, first = 7, 5
-    while True:
-        for b in range(first, hi):
-            a += b
-            yield a
-        first, hi = hi + 1, next(lag)
+    return chain((1, 3, 7), _column("a", 4))
 
 
-def _runs(
-    start: int, lag: Iterator[int] | None = None
-) -> Iterator[tuple[int, int, int, int, int]]:
+def _runs(start: int) -> Iterator[tuple[int, int, int, int, int]]:
     """Windows of constant u from index `start` (>= 1) on, one per step.
 
     Each step is (n, a, first, hi, k): the window's first index n, a_n,
     and its b-values range(first, hi), on which u = k.  The first window
     is the part of window k from `start` on, so its `first` is b_start.
-    First walks whole windows of the a-values from `lag` (a fresh
-    _a_values() by default) to find the run k holding `start` and the sum
-    of u below it, about sqrt(2 start) steps.  The bound of the next
-    window is drawn from `lag` only when that window is asked for.
+    First walks whole windows of the a-values of a lag, _a_values(), to
+    find the run k holding `start` and the sum of u below it, about
+    sqrt(2 start) steps.  The bound of the next window is drawn from the
+    lag only when that window is asked for.
     """
-    lag = _a_values() if lag is None else lag
+    lag = _a_values()
     k, lo, hi = 1, next(lag), next(lag)
     u_sum = 0  # sum of u over the whole windows below window k
     while hi - (k + 1) < start:
@@ -153,11 +143,11 @@ def _heads(ns: Sequence[int]) -> list[tuple[int, int, int]]:
     return heads
 
 
-def _rows(start: int, lag: Iterator[int] | None = None) -> Iterator[Triple]:
+def _rows(start: int) -> Iterator[Triple]:
     """Rows from index `start` (>= 1) on: the columns of each window of _runs, zipped."""
     # tuple.__new__ builds each Triple in C, with no Python-level call per row.
     return chain.from_iterable(
-        map(tuple.__new__, repeat(Triple), zip(*_columns(*window))) for window in _runs(start, lag)
+        map(tuple.__new__, repeat(Triple), zip(*_columns(*window))) for window in _runs(start)
     )
 
 
@@ -192,17 +182,6 @@ def _numbered(head: str, tail: str, lo: int, hi: int) -> str:
     return "".join(parts)
 
 
-def _recorded(values: Iterator[int], into: list[int]) -> Iterator[int]:
-    """`values` passed through, each also appended to `into`.
-
-    As the lag of _runs(1) this records the run bounds a_1..a_{u+1} read
-    so far, a leading slice that stays O(sqrt n) long at index n.
-    """
-    for value in values:
-        into.append(value)
-        yield value
-
-
 class TripleStream:
     """Stateful producer of Triple rows in index order, one owner at a time.
 
@@ -232,8 +211,9 @@ class TripleStream:
 
 
 def value_at(seq: str, n: int) -> int:
-    """The n-th term of sequence "a", "b", or "u", by O(sqrt n) jump-ahead."""
+    """The n-th term of sequence "a", "b", or "u", by O(sqrt n) jump-ahead; n is an int (operator.index)."""
     _check_seq(seq)
+    n = index(n)
     if n < 1:
         raise ValueError("index must be >= 1")
     return _heads((n,))[0][SEQUENCE_IDS.index(seq)]

@@ -1,12 +1,13 @@
 """Brute-force reference construction, deliberately unlike the package code.
 
 The generator under test emits b run by run, as ranges between
-consecutive a-values, reading those bounds from a lagging copy of itself
-that holds only the O(sqrt n) leading a-values.  This oracle does the obvious slow thing instead: it holds a
-full membership table of every a-value produced so far and scans candidate
-integers one at a time.  The counting companion u is recomputed for each n
-from its defining window (find k with a_k - k < n <= a_{k+1} - (k+1))
-rather than read off the b column, so the two routes to u stay separate.
+consecutive a-values, reading those bounds from a lagging walk of itself
+that reaches only the O(sqrt n) leading a-values.  This oracle does the
+obvious slow thing instead: it holds a full membership table of every
+a-value produced so far and scans candidate integers one at a time.  The
+counting companion u is recomputed for each n from its defining window
+(find k with a_k - k < n <= a_{k+1} - (k+1)) rather than read off the b
+column, so the two routes to u stay separate.
 """
 
 from __future__ import annotations

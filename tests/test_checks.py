@@ -182,6 +182,18 @@ def test_remainder_table_validations():
         remainder_table("u", 1, [0, 10])
 
 
+@pytest.mark.parametrize("ns", [[2.5, 10], [2, 10.0], ["2", 10]])
+def test_remainder_table_rejects_non_integer_indices(ns):
+    with pytest.raises(TypeError):
+        remainder_table("u", 1, ns)
+
+
+def test_remainder_table_takes_any_integer_index():
+    assert remainder_table("u", 1, range(9, 11)) == remainder_table("u", 1, [9, 10])
+    (row,) = remainder_table("a", 1, [True])
+    assert type(row.n) is int and (row.n, row.exact) == (1, 1)
+
+
 def test_decade_means_drift_toward_next_coefficient():
     means = decade_remainder_means("u", 1, 2, 3)
     assert [d for d, _ in means] == [2, 3]
@@ -403,9 +415,10 @@ def flat_rows(windows):
 def reference_run_checks(upto, names):
     """The row-at-a-time check driver that the window-at-a-time one replaced,
     kept as the reference: every law tested at every row.  It reads the
-    windows of figfig.checks._runs flattened into rows, and its run bounds
-    through figfig.checks._recorded, so it sees the same stream, faults
-    included, as the driver under test."""
+    windows of figfig.checks._runs flattened into rows, and the run bounds
+    a_i for i <= upto + 2 from figfig.checks._a_values, so it sees the same
+    stream and bounds, faults included, as the driver under test.  A
+    faulty u past those gets its bounds from value_at."""
     min_upto = {"partition": 1, "identities": 2, "bounds": 1}
     for name in names:
         if upto < min_upto[name]:
@@ -420,8 +433,16 @@ def reference_run_checks(upto, names):
     pending_a = deque()
     u_sum = 0
     previous_a = previous_b = 0
-    prefix = []
-    for n, a, b, u in flat_rows(checks._runs(1, checks._recorded(checks._a_values(), prefix))):
+    a_values, recorded = checks._a_values(), []
+
+    def a_at(i):
+        if i > upto + 2:
+            return value_at("a", i)
+        while len(recorded) < i:
+            recorded.append(next(a_values))
+        return recorded[i - 1]
+
+    for n, a, b, u in flat_rows(checks._runs(1)):
         if partition:
             failure = None
             if a <= upto:
@@ -457,9 +478,11 @@ def reference_run_checks(upto, names):
                 failure = (n, f"b = {b} but n + u = {n + u}")
             elif a != 1 + (n - 1) * n // 2 + u_sum:
                 failure = (n, f"a = {a} but 1 + (n-1)n/2 + sum(u) = {1 + (n - 1) * n // 2 + u_sum}")
+            elif u < 1:
+                failure = (n, f"u = {u} below 1 has no counting window")
             else:
-                window_lo = prefix[u - 1] - u
-                window_hi = prefix[u] - (u + 1)
+                window_lo = a_at(u) - u
+                window_hi = a_at(u + 1) - (u + 1)
                 if not window_lo < n <= window_hi:
                     failure = (n, f"counting window ({window_lo}, {window_hi}] misses n")
             if failure or n > upto:
@@ -497,8 +520,8 @@ def corrupting_runs(real, index, changes):
     with one row replaced.
     """
 
-    def runs(start, lag=None):
-        for n, a, first, hi, k in real(start, lag):
+    def runs(start):
+        for n, a, first, hi, k in real(start):
             offset = index - n
             if not 0 <= offset < hi - first:
                 yield n, a, first, hi, k
@@ -605,6 +628,35 @@ FAULTS = {
         (1899, "a(1900) - a(1899) = -1871178, expected b(1899) = 1956"),
         (1900, "a = 1957 below n^2/2 + n/2"),
     )),
+    # A consistent pair (u, b = n + u): the shift law and the closed form
+    # hold, so the counting window decides, for a u past every window the
+    # walk has reached (a_200 = 22232, a_(10^7) = 50029364025646) and for
+    # a u below 1, which has no counting window.
+    "u_past_the_walk": (1900, {"u": 200, "b": 2100}, (
+        (1957, "no sequence value covers 1957"),
+        (1900, "counting window (22032, 22249] misses n"),
+        (1900, "u = 200 not below sqrt(2n) + 1/2"),
+    )),
+    "u_far_past_the_walk": (500, {"u": 10**7, "b": 10**7 + 500}, (
+        (528, "a-value 529 arrived, expected 528"),
+        (500, "counting window (50029354025646, 50029364030061] misses n"),
+        (500, "u = 10000000 not below sqrt(2n) + 1/2"),
+    )),
+    "u_zero": (500, {"u": 0, "b": 500}, (
+        (528, "b-value 500 repeats covered ground"),
+        (500, "u = 0 below 1 has no counting window"),
+        (500, "u = 0 below 1"),
+    )),
+    "u_negative": (500, {"u": -3, "b": 497}, (
+        (528, "b-value 497 repeats covered ground"),
+        (500, "u = -3 below 1 has no counting window"),
+        (500, "u = -3 below 1"),
+    )),
+    "u_zero_at_first_row": (1, {"u": 0, "b": 1}, (
+        (2, "a-value 1 arrived, expected 2"),
+        (1, "u = 0 below 1 has no counting window"),
+        (1, "u = 0 below 1"),
+    )),
 }
 
 
@@ -682,16 +734,29 @@ def test_partition_ending_at_an_a_value(monkeypatch, upto, index, changes, failu
     assert reference_run_checks(upto, ("partition",)) == (expected,)
 
 
+def test_identities_to_1e18_end_at_an_early_fault(monkeypatch):
+    # Nothing is sized from upto: the check stops at the faulty row 20 as
+    # it would at upto = 2000, with little memory and at once.
+    monkeypatch.setattr(checks, "_runs", corrupting_runs(checks._runs, 20, {"b": 24}))
+    tracemalloc.start()
+    try:
+        reports = checks._run_checks(10**18, ("identities",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reports == (CheckReport("identities", 1, 10**18, False, (20, "b = 24 but n + u = 25")),)
+    assert peak < 64 * 1024
+
+
 def misrecorded(position, delta):
-    """A stand-in for _recorded that records a_{position + 1}, the bound the
-    counting window reads, off by delta, and passes the true value on."""
+    """A stand-in for checks._a_values whose a_{position + 1}, a bound the
+    counting window reads, is off by delta; the stream itself stays true."""
 
-    def recorded(values, into):
-        for i, value in enumerate(values):
-            into.append(value + delta if i == position else value)
-            yield value
+    def a_values():
+        for i, value in enumerate(_a_values()):
+            yield value + delta if i == position else value
 
-    return recorded
+    return a_values
 
 
 # A misread run bound a_{k+1} shifts the upper end of window k's counting
@@ -706,7 +771,7 @@ def misrecorded(position, delta):
     (2000, 58, -20, (1998, "counting window (1951, 1997] misses n")),
 ])
 def test_counting_window_failures(monkeypatch, upto, position, delta, failure):
-    monkeypatch.setattr(checks, "_recorded", misrecorded(position, delta))
+    monkeypatch.setattr(checks, "_a_values", misrecorded(position, delta))
     expected = CheckReport("identities", 1, upto, failure is None, failure)
     assert check_identities(upto) == expected
     assert check_all(upto) == reference_run_checks(upto, CHECK_NAMES)
@@ -748,9 +813,10 @@ def faulty_runs(draw):
     else:
         ends = [w[:2] for w in WINDOWS if w[place == "window_last"] <= upto + 1]
         index = draw(st.sampled_from(ends))[place == "window_last"]
-    field = draw(st.sampled_from(["a", "b", "u"]))
+    # One field, or u with b = n + u so that the shift law still holds.
+    field = draw(st.sampled_from(["a", "b", "u", "u and b"]))
     row = next(_rows(index))
-    true_value = getattr(row, field)
+    true_value = getattr(row, field[0])
     # A value off by a little or a lot, one near the row's own b, or one
     # among those the partition covers up to upto.
     value = draw(st.one_of(
@@ -759,8 +825,9 @@ def faulty_runs(draw):
         st.integers(-2, 2).map(row.b.__add__),
         st.integers(-2, upto + 2),
     ).filter(true_value.__ne__))
+    changes = {"u": value, "b": index + value} if field == "u and b" else {field: value}
     names = draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1, max_size=3, unique=True))
-    return upto, index, {field: value}, tuple(names)
+    return upto, index, changes, tuple(names)
 
 
 @settings(max_examples=200, deadline=None)

@@ -243,8 +243,8 @@ def test_interrupted_gen_leaves_no_partial_out_file(tmp_path, monkeypatch, capsy
         target.write_text(earlier, encoding="utf-8")
     real_runs = cli._runs
 
-    def one_run_then_interrupt(start, lag=None):
-        yield next(real_runs(start, lag))
+    def one_run_then_interrupt(start):
+        yield next(real_runs(start))
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "_runs", one_run_then_interrupt)

@@ -22,7 +22,6 @@ from figfig.stream import (
     _column,
     _columns,
     _numbered,
-    _recorded,
     _rows,
     _runs,
 )
@@ -40,9 +39,22 @@ B_FIRST = [2, 4, 5, 6, 8, 9, 10, 11, 13, 14]
 U_FIRST = [1, 2, 2, 2, 3, 3, 3, 3, 4, 4]
 
 
-def recorded_rows(prefix):
-    """The rows from n = 1, with the run bounds a_1, a_2, ... read so far in `prefix`."""
-    return _rows(1, _recorded(_a_values(), prefix))
+def lag_reads(monkeypatch):
+    """Patch stream._a_values so that each lag it makes records the values
+    read from it; return the list of those records, in the order the lags
+    were made, so the outermost walk's lag comes first."""
+    real = stream._a_values
+    reads = []
+
+    def recording():
+        values = []
+        reads.append(values)
+        for value in real():
+            values.append(value)
+            yield value
+
+    monkeypatch.setattr(stream, "_a_values", recording)
+    return reads
 
 
 def test_first_ten_rows_match_published_terms():
@@ -93,6 +105,26 @@ def test_value_at_rejects_bad_arguments():
         value_at("a", 0)
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_value_at_rejects_non_integer_indices(n):
+    with pytest.raises(TypeError):
+        value_at("a", n)
+
+
+def test_value_at_takes_any_integer_index():
+    class Index:
+        def __index__(self):
+            return 3
+
+    assert value_at("a", Index()) == 7 and type(value_at("a", Index())) is int
+    assert value_at("u", True) == 1
+
+
+def test_value_at_far_index_is_pinned():
+    # Recorded on its own, not derived from the walk under test.
+    assert value_at("a", 10**12) == 500000941936492050650505
+
+
 def test_matches_oracle_deeply():
     rows = TripleStream().take(2000)
     assert [tuple(r) for r in rows] == oracle_triples(2000)
@@ -120,26 +152,10 @@ def test_shift_identity():
         assert row.b == row.n + row.u
 
 
-def test_prefix_tracks_leading_a_values():
-    prefix = []
-    rows = list(islice(recorded_rows(prefix), 400))
-    assert prefix == [r.a for r in rows[: len(prefix)]]
-    last_u = rows[-1].u
-    assert last_u + 1 <= len(prefix) <= last_u + 2
-
-
-def test_prefix_starts_at_one():
-    prefix = []
-    next(recorded_rows(prefix))
-    assert prefix[0] == 1
-
-
-def test_prefix_stays_sublinear():
-    prefix = []
-    rows = recorded_rows(prefix)
-    for _ in range(20_000):
-        row = next(rows)
-    assert len(prefix) <= row.u + 2
+def test_a_values_are_the_a_column():
+    # The given 1, 3, 7, then the a column of the walk from index 4.
+    expected = [row[1] for row in oracle_table()]
+    assert list(islice(_a_values(), len(expected))) == expected
 
 
 @pytest.mark.parametrize(
@@ -158,11 +174,9 @@ def test_unknown_sequence_id_message(call):
 
 
 def test_counting_window_bracket():
-    prefix = []
-    for row in islice(recorded_rows(prefix), 300):
-        low = prefix[row.u - 1] - row.u
-        high = prefix[row.u] - (row.u + 1)
-        assert low < row.n <= high
+    a = list(islice(_a_values(), 30))
+    for row in islice(_rows(1), 300):
+        assert a[row.u - 1] - row.u < row.n <= a[row.u] - (row.u + 1)
 
 
 @lru_cache(maxsize=None)
@@ -243,10 +257,16 @@ def test_far_jump_agrees_with_streaming_from_an_earlier_jump():
     assert streamed == list(islice(_rows(start), 50))
 
 
-def test_prefix_length_tracks_u_all_along():
-    prefix = []
-    for row in islice(recorded_rows(prefix), 5000):
-        assert row.u + 1 <= len(prefix) <= row.u + 2
+def test_lag_length_tracks_u_all_along(monkeypatch):
+    # The walk from 1 has read a_1..a_{u+1} of its lag at a row of u, so
+    # about sqrt(2n) values at index n.  Its lag's own lag reads about the
+    # square root of that, and so on down to one that reads only the given
+    # 1, 3, 7: five walks in all at 20000 rows.
+    reads = lag_reads(monkeypatch)
+    for row in islice(_rows(1), 20_000):
+        assert row.u + 1 <= len(reads[0]) <= row.u + 2
+    assert reads[0] == [row[1] for row in oracle_table()[: len(reads[0])]]
+    assert [len(values) for values in reads] == [191, 18, 6, 4, 3]
 
 
 def check_columns(window, widths):
@@ -285,10 +305,10 @@ def test_columns_match_the_oracle(start, cut):
     check_column_from(start)
 
 
-def reference_rows(start, lag=None):
+def reference_rows(start):
     """The rows from `start`, each window of _runs walked row by row with
     a stepping by b: the reference for _rows, which zips its columns."""
-    for n, a, first, hi, k in _runs(start, lag):
+    for n, a, first, hi, k in _runs(start):
         for b in range(first, hi):
             yield Triple(n, a, b, k)
             a += b
@@ -314,13 +334,15 @@ def test_rows_match_the_reference(start):
 
 
 @pytest.mark.parametrize("start", [1, 2, 5, 1000])
-def test_rows_pass_a_recorded_lag_through(start):
-    # The same rows, and the lag read just as far: _rows asks _runs for a
-    # window only when the rows before it are used up.
-    prefix, expected = [], []
-    rows = list(islice(_rows(start, _recorded(_a_values(), prefix)), 20_000))
-    assert rows == list(islice(reference_rows(start, _recorded(_a_values(), expected)), 20_000))
-    assert prefix == expected
+def test_rows_pass_a_recorded_lag_through(monkeypatch, start):
+    # The same rows, and the walk's lag read just as far: _rows asks _runs
+    # for a window only when the rows before it are used up.
+    reads = lag_reads(monkeypatch)
+    rows = list(islice(_rows(start), 20_000))
+    read = reads[0]
+    reads.clear()
+    assert rows == list(islice(reference_rows(start), 20_000))
+    assert reads[0] == read
 
 
 def test_readme_window_counts():
