@@ -13,8 +13,12 @@ then kept here, so a caller pays only for the modules it uses:
 `check_all` loads the stream and the checks, but neither the series nor
 any b-file code.  No module of the package imports `typing` or
 `__future__`, so a fresh interpreter that compiles the package from
-source pays for neither (README, "Start-up").
+source pays for neither (README, "Start-up").  `_int_arg` checks every
+integer argument of the public entry points; it lives here because every
+module loads the package first.
 """
+
+from operator import index as _index
 
 __version__ = "0.1.0"
 
@@ -44,6 +48,13 @@ _HOMES = {
 }
 
 __all__ = sorted(_HOMES)
+
+
+def _int_arg(value: int, name: str, lo: int, hi: int | None = None) -> int:
+    """value by operator.index (a float or str raises TypeError); ValueError unless lo <= value (<= hi)."""
+    if (value := _index(value)) < lo or hi is not None and value > hi:
+        raise ValueError(f"{name} must be >= {lo}" if hi is None else f"{name} must be in {lo}..{hi}")
+    return value
 
 
 def __getattr__(name: str):

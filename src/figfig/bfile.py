@@ -32,7 +32,7 @@ import io
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import count, islice, repeat
-from operator import eq, itemgetter
+from operator import eq, index, itemgetter
 
 from .checks import CheckReport
 from .stream import _check_seq, _column, _numbered
@@ -70,13 +70,13 @@ class BFileRecords(Sequence):
     as on the list of those records, and a slice is such a list.  It is
     `==` to a list of the same records (or of plain (index, value) pairs),
     and to another BFileRecords holding the same records; like a list, it
-    is never equal to a tuple.  `values` is kept, not copied.
+    is never equal to a tuple.  `first` is taken by operator.index; `values` is kept, not copied.
     """
 
     __slots__ = ("first", "values")
 
     def __init__(self, first: int, values: list[int]) -> None:
-        if first < 1:
+        if (first := index(first)) < 1:
             raise ValueError(f"record index must be >= 1, got {first}")
         self.first = first
         self.values = values

@@ -34,12 +34,12 @@ from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import chain, islice, repeat, takewhile
-from operator import add, index, mul, sub, truediv
+from operator import add, mul, sub, truediv
 
+from . import _int_arg
 from .stream import CHECK_NAMES, SEQUENCE_IDS, _a_values, _check_seq, _column, _columns, _heads, _runs
 
 __all__ = [
-    "CHECK_NAMES",
     "CheckReport",
     "RemainderRow",
     "check_all",
@@ -48,8 +48,6 @@ __all__ = [
     "check_partition",
     "decade_remainder_means",
     "remainder_table",
-    "sqrt_window_bound_holds",
-    "a_upper_bound_holds",
 ]
 
 
@@ -91,8 +89,6 @@ def a_upper_bound_holds(n: int, a: int) -> bool:
 
 class _Partition:
     """Every integer in [1, upto] is covered once, in order."""
-
-    min_upto = 1
 
     def __init__(self, upto: int) -> None:
         self.upto = upto
@@ -144,8 +140,6 @@ class _Partition:
 
 class _Identities:
     """The four laws of check_identities."""
-
-    min_upto = 2
 
     def __init__(self, upto: int) -> None:
         self.upto = upto
@@ -220,8 +214,6 @@ class _Identities:
 
 class _Bounds:
     """The six bounds of check_bounds."""
-
-    min_upto = 1
 
     def __init__(self, upto: int) -> None:
         self.upto = upto
@@ -300,9 +292,7 @@ def _run_checks(upto: int, names: Sequence[str]) -> tuple[CheckReport, ...]:
       sqrt(2m) + 1/2, so the step of a is smaller and a stays below f.
       (Where the shift law holds d = k, and this is the u bound.)
     """
-    for name in names:
-        if upto < _CHECKS[name].min_upto:
-            raise ValueError(f"upto must be >= {_CHECKS[name].min_upto}")
+    upto = _int_arg(upto, "upto", 2 if "identities" in names else 1)
     running = {name: _CHECKS[name](upto) for name in names}
     reports: dict[str, CheckReport] = {}
     for window in _runs(1):
@@ -370,18 +360,24 @@ def _remainder_columns(
     return tails, remainders, map(truediv, remainders, scales)
 
 
-def _check_ns(ns: Sequence[int]) -> None:
-    """Raise ValueError unless ns is a non-empty, strictly increasing run of indices >= 1."""
+def _check_ns(ns: Iterable[int]) -> list[int]:
+    """ns as a list of ints; ValueError unless it is a non-empty, strictly increasing run of indices >= 1."""
+    lo = 0  # each index must pass the one before it
+    try:
+        ns = [lo := _int_arg(n, "ns", lo + 1) for n in ns]
+    except ValueError:
+        raise ValueError("ns must be strictly increasing positive integers") from None
     if not ns:
         raise ValueError("ns must be non-empty")
-    if any(ns[i] >= ns[i + 1] for i in range(len(ns) - 1)) or ns[0] < 1:
-        raise ValueError("ns must be strictly increasing positive integers")
+    return ns
 
 
-def _check_decades(lo: int, hi: int) -> None:
-    """Raise ValueError unless 0 <= lo <= hi, a span of decades [10^lo, 10^(hi+1))."""
-    if lo < 0 or hi < lo:
-        raise ValueError("need 0 <= first decade <= last decade")
+def _check_decades(lo: int, hi: int) -> tuple[int, int]:
+    """(lo, hi) as ints; ValueError unless 0 <= lo <= hi, a span of decades [10^lo, 10^(hi+1))."""
+    try:
+        return (lo := _int_arg(lo, "first decade", 0)), _int_arg(hi, "last decade", lo)
+    except ValueError:
+        raise ValueError("need 0 <= first decade <= last decade") from None
 
 
 # Each series is its _remainder_columns tail plus this head (0 + tail is tail: the u tail is positive).
@@ -400,9 +396,8 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
     from .series import _check_order
 
     _check_seq(seq)
-    _check_order(order)
-    ns = list(map(index, ns))
-    _check_ns(ns)
+    order = _check_order(order)
+    ns = _check_ns(ns)
     heads = _heads(ns)
     if seq == "a":
         exact = [2 * a - n * n for n, (a, _, _) in zip(ns, heads)]
@@ -461,8 +456,8 @@ def decade_remainder_means(
     from .series import _check_order
 
     _check_seq(seq)
-    _check_order(order)
-    _check_decades(first_decade, last_decade)
+    order = _check_order(order)
+    first_decade, last_decade = _check_decades(first_decade, last_decade)
     column = _exact_column(seq, 10**first_decade)
     means = []
     for decade in range(first_decade, last_decade + 1):

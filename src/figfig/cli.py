@@ -73,12 +73,11 @@ def _positive_int(text: str) -> int:
 
 
 def _checked(check, value):
-    """value if the library's own check accepts it, else an argparse error with its message."""
+    """What the library's own check returns for value, or an argparse error with its message."""
     try:
-        check(value)
+        return check(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
 
 
 def _order_arg(text: str) -> int:

@@ -32,6 +32,8 @@ from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from operator import add, mul, truediv
 
+from . import _int_arg
+
 __all__ = [
     "MAX_ORDER",
     "a_coeff",
@@ -53,9 +55,8 @@ def _check_args(n: int, order: int) -> None:
     _check_order(order)
 
 
-def _check_order(order: int) -> None:
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"series order must be in 1..{MAX_ORDER}")
+def _check_order(order: int) -> int:
+    return _int_arg(order, "series order", 1, MAX_ORDER)
 
 
 def _ratios(summed: str) -> "Iterator[tuple[int, int]]":
@@ -71,11 +72,9 @@ def _ratios(summed: str) -> "Iterator[tuple[int, int]]":
 
 
 def _fraction(k: int, summed: str) -> "Fraction":
-    if k < 1:
-        raise ValueError("coefficient position must be >= 1")
     from fractions import Fraction
 
-    return Fraction(*next(islice(_ratios(summed), k - 1, None)))
+    return Fraction(*next(islice(_ratios(summed), _int_arg(k, "coefficient position", 1) - 1, None)))
 
 
 @lru_cache(maxsize=None)
@@ -103,8 +102,7 @@ def root_pow(x: float, k: int) -> float:
     """x^(1/2^k) by k successive square roots (x >= 0, 1 <= k <= 64)."""
     if x < 0:
         raise ValueError("root_pow needs a non-negative argument")
-    _check_order(k)
-    for _ in range(k):
+    for _ in range(_check_order(k)):
         x = math.sqrt(x)
     return x
 

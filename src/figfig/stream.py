@@ -46,7 +46,8 @@ per line.
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, islice, repeat
-from operator import index
+
+from . import _int_arg
 
 __all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
 
@@ -199,9 +200,7 @@ class TripleStream:
 
     def take(self, count: int) -> list[Triple]:
         """The next `count` rows as a list (count >= 1)."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return [self.next_triple() for _ in range(count)]
+        return [self.next_triple() for _ in range(_int_arg(count, "count", 1))]
 
     def __iter__(self) -> Iterator[Triple]:
         return self
@@ -213,7 +212,4 @@ class TripleStream:
 def value_at(seq: str, n: int) -> int:
     """The n-th term of sequence "a", "b", or "u", by O(sqrt n) jump-ahead; n is an int (operator.index)."""
     _check_seq(seq)
-    n = index(n)
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    return _heads((n,))[0][SEQUENCE_IDS.index(seq)]
+    return _heads((_int_arg(n, "index", 1),))[0][SEQUENCE_IDS.index(seq)]

@@ -94,6 +94,9 @@ def test_write_rejects_bad_records():
         write_bfile([BFileRecord(0, 1)], io.StringIO())
     with pytest.raises(ValueError, match="^record index must be >= 1, got 0$"):
         BFileRecords(0, [1])
+    for first in (1.5, 2.0, "1"):
+        with pytest.raises(TypeError):
+            BFileRecords(first, [1])
 
 
 @given(

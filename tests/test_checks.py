@@ -50,11 +50,12 @@ def test_identities_pass(upto):
     assert (report.name, report.lo, report.hi) == ("identities", 1, upto)
 
 
-@pytest.mark.parametrize("upto", [1, 20, 10_000])
+@pytest.mark.parametrize("upto", [1, 20, 10_000, True])
 def test_bounds_pass(upto):
     report = check_bounds(upto)
     assert report.passed
     assert (report.name, report.lo, report.hi) == ("bounds", 1, upto)
+    assert type(report.hi) is int  # upto is taken by operator.index, so True is 1
 
 
 def test_checks_reject_bad_ranges():
@@ -64,6 +65,11 @@ def test_checks_reject_bad_ranges():
         check_identities(1)
     with pytest.raises(ValueError):
         check_bounds(0)
+    # A float upto is not a range of integers, even when it is whole.
+    for check in (check_partition, check_identities, check_bounds, check_all):
+        for upto in (10.5, 10.0):
+            with pytest.raises(TypeError):
+                check(upto)
 
 
 def test_reports_are_deterministic():
@@ -180,6 +186,9 @@ def test_remainder_table_validations():
         remainder_table("u", 1, [10, 10])
     with pytest.raises(ValueError):
         remainder_table("u", 1, [0, 10])
+    for order in (2.0, 0.5):
+        with pytest.raises(TypeError):
+            remainder_table("u", order, [10])
 
 
 @pytest.mark.parametrize("ns", [[2.5, 10], [2, 10.0], ["2", 10]])
@@ -218,6 +227,12 @@ def test_decade_means_validations():
         decade_remainder_means("u", 1, -1, 3)
     with pytest.raises(ValueError):
         decade_remainder_means("u", 1, 3, 2)
+    for order in (2.0, 0.5):
+        with pytest.raises(TypeError):
+            decade_remainder_means("u", order, 1, 2)
+    for decades in ((1.0, 2), (1, 2.0), (3, 2.0), (-1.0, 2)):
+        with pytest.raises(TypeError):
+            decade_remainder_means("u", 1, *decades)
 
 
 def _two_ladder_row(seq, order, n, value=value_at):

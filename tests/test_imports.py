@@ -111,7 +111,10 @@ def test_every_public_name_is_the_object_of_its_home_module():
     for name in figfig.__all__:
         home = importlib.import_module(f"figfig.{figfig._HOMES[name]}")
         assert getattr(figfig, name) is getattr(home, name), name
-        assert name in home.__all__, name
+    # Each home module's __all__ lists exactly the names the package takes from it.
+    for module in set(figfig._HOMES.values()):
+        names = sorted(name for name, home in figfig._HOMES.items() if home == module)
+        assert sorted(importlib.import_module(f"figfig.{module}").__all__) == names, module
 
 
 def test_dir_lists_every_public_name():

@@ -80,6 +80,9 @@ def test_coefficient_domain_errors(bad):
         u_coeff(bad)
     with pytest.raises(ValueError):
         a_coeff(bad)
+    for coeff in (u_coeff, a_coeff):
+        with pytest.raises(TypeError):  # a position is an int, by operator.index
+            coeff(2.0)
 
 
 def test_root_pow_values():
@@ -96,6 +99,9 @@ def test_root_pow_domain_errors():
         root_pow(4.0, 0)
     with pytest.raises(ValueError):
         root_pow(4.0, MAX_ORDER + 1)
+    for k in (2.0, 0.5):
+        with pytest.raises(TypeError):
+            root_pow(4.0, k)
 
 
 def test_root_pow_tracks_pow():

@@ -89,6 +89,9 @@ def test_b_jumps_over_a_values():
 def test_take_rejects_bad_count():
     with pytest.raises(ValueError):
         TripleStream().take(0)
+    for count in (2.5, 0.5, "2"):
+        with pytest.raises(TypeError):
+            TripleStream().take(count)
 
 
 def test_value_at_checkpoints():
