@@ -19,25 +19,23 @@ the exact values.  The remainder is divided by the next rung of the
 power ladder, the term a one-order-deeper truncation would add; on that
 scale it settles near the next coefficient.  Where it should settle, and
 how tightly, is a convention of this package's test suite rather than a
-proved enclosure.  Both remainder tools sum the series a column of indices
-at a time, climbing each rung of the ladder once for the column with the
-same float operations, in the same order, as one index alone takes.  The
-decade means walk the windows of constant u in columns of at most 1024
-consecutive indices, reading each window's exact values as one range, so
-their working memory stays bounded by one column however many decades
-they span; each decade's scaled values are added left to right, one at a
-time, so the means are the same floats an index-by-index walk gives.
+proved enclosure.  Both remainder tools feed one per-index kernel that
+climbs the ladder in a flat loop, with the same float operations, in the
+same order, as the series evaluators take, and adds each scaled
+remainder to a running float.  The decade means feed it one window of
+constant u at a time, so their working memory stays a few windows' worth
+however many decades they span; each decade's scaled values are added
+left to right, one at a time, so the means are the same floats an
+index-by-index walk gives.
 """
 
 import math
 from collections import deque, namedtuple
-from collections.abc import Iterable, Iterator, Sequence
-from functools import reduce
-from itertools import chain, islice, repeat, takewhile
-from operator import add, mul, sub, truediv
+from collections.abc import Iterable, Sequence
+from itertools import repeat, takewhile
 
 from . import _int_arg
-from .stream import CHECK_NAMES, SEQUENCE_IDS, _a_values, _check_seq, _column, _columns, _heads, _runs
+from .stream import CHECK_NAMES, SEQUENCE_IDS, _a_values, _check_seq, _columns, _heads, _runs
 
 __all__ = [
     "CheckReport",
@@ -334,30 +332,42 @@ def check_all(upto: int) -> tuple[CheckReport, CheckReport, CheckReport]:
     return _run_checks(upto, CHECK_NAMES)
 
 
-def _remainder_columns(
-    seq: str, order: int, ns: Sequence[int], exact: Sequence[int]
-) -> tuple[list[float], list[float], Iterator[float]]:
-    """(series tails, remainders, scaled remainders) at the indices ns.
+def _scaled_sum(
+    summed: str, coeffs: tuple[float, ...], ns: Iterable[int], exact: Iterable[int], total: float = 0.0
+) -> tuple[float, float, float]:
+    """(total plus the scaled remainder at each index of ns, in turn; the last index's tail and remainder).
 
-    `exact` holds u_n at each n for "u" and "b", and e_n = 2 a_n - n^2 for
-    "a".  The b remainder is the u remainder, since b and its series both
-    exceed u and its series by exactly n; the series tail is the u-series.
-    For a, the n^2/2 head is subtracted in integers (inside e_n) before
-    any float enters, to dodge cancellation, and the tail is the a-series
-    without its head.  The next rung (n/2)^(1/2^(order+1)) is one square
-    root past the last rung of the ladder that summed the series.
+    ns is non-empty.  `exact` holds u_n at each n for the u-series ("u"),
+    and e_n = 2 a_n - n^2 for the a-series tail ("a"); `coeffs` is the
+    family's first `order` float coefficients.  The b remainder is the u
+    remainder, since b and its series both exceed u and its series by
+    exactly n.  For a, the n^2/2 head is subtracted in integers (inside
+    e_n) before any float enters, to dodge cancellation.  Each index
+    climbs the ladder in a flat loop by the float operations of
+    eval_u_series and eval_a_series, so its tail equals theirs bit for
+    bit; one more square root of its last rung (n/2)^(1/2^order) gives the
+    next rung, which scales the remainder.
     """
-    from .series import _ladder_column
-
-    if seq == "a":
-        tails, rungs = _ladder_column(ns, order, "a")
-        remainders = list(map(sub, map(truediv, exact, repeat(2)), tails))
-        scales = map(mul, map(truediv, ns, repeat(2)), map(math.sqrt, rungs))
+    sqrt = math.sqrt
+    if summed == "a":
+        for n, e in zip(ns, exact):
+            root = half = n / 2
+            tail = 0.0
+            for coeff in coeffs:
+                root = sqrt(root)
+                tail += coeff * root * half
+            remainder = e / 2 - tail
+            total += remainder / (half * sqrt(root))
     else:
-        tails, rungs = _ladder_column(ns, order, "u")
-        remainders = list(map(sub, exact, tails))
-        scales = map(math.sqrt, rungs)
-    return tails, remainders, map(truediv, remainders, scales)
+        for n, u in zip(ns, exact):
+            root = n / 2
+            tail = 0.0
+            for coeff in coeffs:
+                root = sqrt(root)
+                tail += coeff * root
+            remainder = u - tail
+            total += remainder / sqrt(root)
+    return total, tail, remainder
 
 
 def _check_ns(ns: Iterable[int]) -> list[int]:
@@ -380,7 +390,7 @@ def _check_decades(lo: int, hi: int) -> tuple[int, int]:
         raise ValueError("need 0 <= first decade <= last decade") from None
 
 
-# Each series is its _remainder_columns tail plus this head (0 + tail is tail: the u tail is positive).
+# Each series is its _scaled_sum tail plus this head (0 + tail is tail: the u tail is positive).
 _SERIES_HEADS = {"a": lambda n: n * n / 2, "b": lambda n: n, "u": lambda n: 0}
 
 
@@ -391,48 +401,22 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
     order is the truncation depth whose next rung scales the remainder.  The walk starts by
     O(sqrt n) jump-ahead at the first index and goes on window by window
     to the last, so it costs no more than one jump to the last index.
-    The series of all the rows are summed as one column.
+    Each row's series is summed on its own, by one flat climb of the ladder.
     """
-    from .series import _check_order
+    from .series import _PREFIXES, _check_order
 
     _check_seq(seq)
     order = _check_order(order)
     ns = _check_ns(ns)
-    heads = _heads(ns)
-    if seq == "a":
-        exact = [2 * a - n * n for n, (a, _, _) in zip(ns, heads)]
-    else:
-        exact = [u for _, _, u in heads]
-    tails, remainders, scaled = _remainder_columns(seq, order, ns, exact)
+    summed = "a" if seq == "a" else "u"
+    coeffs = _PREFIXES[summed][order]
     position, head = SEQUENCE_IDS.index(seq), _SERIES_HEADS[seq]
-    return [
-        RemainderRow(n, order, values[position], head(n) + tail, remainder, scale)
-        for n, values, tail, remainder, scale in zip(ns, heads, tails, remainders, scaled)
-    ]
-
-
-# Indices per column of decade_remainder_means: the bound on its working
-# memory, and long enough that the per-column overhead is small.
-_CHUNK = 1024
-
-
-def _exact_column(seq: str, start: int) -> Iterator[int]:
-    """u_n ("u", "b") or e_n = 2 a_n - n^2 ("a") for n = start, start + 1, ...
-
-    The u column is the stream's own.  On a window of constant u = k, e_n
-    steps by e_{n+1} - e_n = 2 b_n - 2n - 1 = 2k - 1, so each window's
-    part of the e column is one range, and the column is their C-level
-    chain.
-    """
-    if seq != "a":
-        return _column("u", start)
-
-    def parts() -> Iterator[range]:
-        for n, a, first, hi, k in _runs(start):
-            e, step = 2 * a - n * n, 2 * k - 1
-            yield range(e, e + step * (hi - first), step)
-
-    return chain.from_iterable(parts())
+    rows = []
+    for n, values in zip(ns, _heads(ns)):
+        a, _, u = values
+        scaled, tail, remainder = _scaled_sum(summed, coeffs, (n,), (2 * a - n * n if seq == "a" else u,))
+        rows.append(RemainderRow(n, order, values[position], head(n) + tail, remainder, scaled))
+    return rows
 
 
 def decade_remainder_means(
@@ -440,32 +424,38 @@ def decade_remainder_means(
 ) -> list[tuple[int, float]]:
     """Mean scaled remainder over each decade [10^d, 10^(d+1)).
 
-    One streaming pass covering d = first_decade..last_decade, started by
-    jump-ahead at 10^first_decade; the means drift toward the next
-    coefficient as the decades climb.  The pass walks the windows of
-    constant u from there and evaluates one column of at most _CHUNK
-    (1024) consecutive indices at a time, never crossing a decade: the
-    series ladder is climbed once for the whole column, and the exact
-    values are read off the windows, u = k throughout one and e_n = 2 a_n
-    - n^2 stepping by 2k - 1, with no per-index big-integer product.  So
-    the working memory is bounded by one column, whatever the span.  Each
+    The means drift toward the next coefficient as the decades climb.
+    Each decade is one walk of the windows of constant u, started by
+    jump-ahead at 10^d (about sqrt(2 10^d) steps against its 9 10^d
+    indices), with its last window cut at 10^(d+1).  A window's exact
+    values come as ranges, u = k throughout and e_n = 2 a_n - n^2 stepping
+    by 2k - 1, with no per-index big-integer product, and its scaled
+    remainders go to the decade's running sum in a flat loop; so the
+    working memory stays a few windows' worth, whatever the span.  Each
     decade's scaled values are added one at a time, left to right in index
     order, not by sum(), which compensates from Python 3.12 on; so every
     mean equals, bit for bit, the one a walk index by index gives.
     """
-    from .series import _check_order
+    from .series import _PREFIXES, _check_order
 
     _check_seq(seq)
     order = _check_order(order)
     first_decade, last_decade = _check_decades(first_decade, last_decade)
-    column = _exact_column(seq, 10**first_decade)
+    summed = "a" if seq == "a" else "u"
+    coeffs = _PREFIXES[summed][order]
     means = []
     for decade in range(first_decade, last_decade + 1):
         lo, hi = 10**decade, 10 ** (decade + 1)
         total = 0.0
-        for start in range(lo, hi, _CHUNK):
-            ns = range(start, min(start + _CHUNK, hi))
-            exact = list(islice(column, len(ns)))
-            total = reduce(add, _remainder_columns(seq, order, ns, exact)[2], total)
+        for n, a, first, end, k in _runs(lo):
+            width = min(end - first, hi - n)
+            if summed == "a":
+                e, step = 2 * a - n * n, 2 * k - 1
+                exact = range(e, e + step * width, step)
+            else:
+                exact = repeat(k, width)
+            total = _scaled_sum(summed, coeffs, range(n, n + width), exact, total)[0]
+            if n + width == hi:
+                break
         means.append((decade, total / (hi - lo)))
     return means

@@ -29,8 +29,7 @@ this changes a bit of any result.
 
 import math
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
-from operator import add, mul, truediv
+from itertools import accumulate, islice
 
 from . import _int_arg
 
@@ -122,26 +121,6 @@ class _Prefixes(dict):
 
 
 _PREFIXES = _Prefixes()
-
-
-def _ladder_column(ns: "Sequence[int]", order: int, summed: str) -> tuple[list[float], list[float]]:
-    """(sums, last rungs) of the u-series ("u") or the a-series tail ("a") at every index of ns.
-
-    Each rung is climbed once for the whole column by the float operations
-    of eval_u_series and eval_a_series, so every sum equals theirs bit for
-    bit: the first rung's terms start the sums, and 0.0 + term changes no
-    bit, as no term is -0.0 (root > 0, coeff != 0).  One more square root
-    of a last rung (n/2)^(1/2^order) gives the next term's power.
-    """
-    halves = list(map(truediv, ns, repeat(2)))
-    roots, totals = halves, None
-    for coeff in _PREFIXES[summed][order]:
-        roots = list(map(math.sqrt, roots))
-        terms = map(mul, repeat(coeff), roots)
-        if summed == "a":
-            terms = map(mul, terms, halves)
-        totals = list(terms if totals is None else map(add, totals, terms))
-    return totals, roots
 
 
 def _too_large(what: str) -> ValueError:

@@ -27,12 +27,11 @@ The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
 the indices run from n, u = k throughout, and the next window's a is
 a_n plus the sum of that range; its lag `_a_values()` is its own a
-column.  This module turns windows into values (the decade means'
-column of 2 a_n - n^2, one range per window, aside).
-`_columns` gives one window's n, a, b and u columns as C-level
-iterables, which the law checks and `figfig gen` read; `_column(seq,
-start)` chains one of them across the windows from `start`, which the
-b-file compare and the decade means read; `_heads` reads the values at a
+column.  The law checks and the decade means read the windows
+themselves.  `_columns` gives one window's n, a, b and u columns as
+C-level iterables, which the law checks and `figfig gen` read;
+`_column(seq, start)` chains one of them across the windows from
+`start`, which the b-file compare reads; `_heads` reads the values at a
 few sparse indices, for value_at and the remainder table; and `_rows`
 zips each window's columns into `Triple` rows for TripleStream.
 

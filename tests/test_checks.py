@@ -274,9 +274,8 @@ def rounded_coefficients(seq, order):
 
 def reference_series_parts(seq, order, row):
     """(exact, series, remainder, scaled) at one row, by a scalar ladder
-    built here from the exact coefficients: the per-row path that the
-    column-at-a-time remainder tools replaced.  A u-term is scaled by 1.0,
-    which changes no bit."""
+    built here from the exact coefficients, apart from the package's
+    kernel.  A u-term is scaled by 1.0, which changes no bit."""
     n = row.n
     half = n / 2
     scale = half if seq == "a" else 1.0
@@ -295,9 +294,9 @@ def reference_series_parts(seq, order, row):
 
 
 def reference_decade_means(seq, order, first_decade, last_decade):
-    """The row-at-a-time decade means that the column-at-a-time ones
-    replaced, kept as the reference: one Triple and one scalar ladder per
-    index, each scaled remainder added to its decade's sum in turn."""
+    """The decade means by one walk of Triple rows from 10^first_decade:
+    one scalar ladder per index, each scaled remainder added to its
+    decade's sum in turn."""
     lo = 10**first_decade
     hi = 10 ** (last_decade + 1)  # exclusive
     sums = [0.0] * (last_decade - first_decade + 1)
@@ -326,13 +325,21 @@ def test_decade_means_match_the_row_at_a_time_reference(seq, order):
     seq=st.sampled_from("abu"),
     order=st.integers(1, 64),
     span=st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted),
-    chunk=st.one_of(st.integers(1, 40), st.integers(41, 2048)),
 )
-def test_decade_means_match_the_reference_at_any_column_size(seq, order, span, chunk):
-    # Columns of any size put their edges inside windows of constant u and
-    # on decade boundaries alike; none changes a bit of the means.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(checks, "_CHUNK", chunk)
+def test_decade_means_match_the_reference_on_any_span(seq, order, span):
+    assert decade_remainder_means(seq, order, *span) == reference_decade_means(seq, order, *span)
+
+
+@pytest.mark.parametrize("seq", ["a", "b", "u"])
+@pytest.mark.parametrize("span", [(1, 1), (2, 4)], ids=["1-1", "2-4"])
+def test_decade_means_cut_windows_at_decade_edges(seq, span):
+    # Each decade's walk starts by a jump into the window holding 10^d and
+    # cuts its last window at 10^(d+1).  Every edge here lies inside a
+    # window of constant u, so each window is cut in two, and no bit of
+    # the means changes.
+    edges = [10**d for d in range(span[0], span[1] + 2)]
+    assert all(value_at("u", edge - 1) == value_at("u", edge) for edge in edges)
+    for order in (1, 3):
         assert decade_remainder_means(seq, order, *span) == reference_decade_means(seq, order, *span)
 
 
@@ -355,16 +362,18 @@ def test_decade_means_match_the_oracle(seq, order):
 
 
 def test_decade_means_work_in_bounded_memory():
-    # One column of at most 1024 indices is held at a time, so the peak is
-    # fixed by the column size, not by the 10^5 indices walked.
-    decade_remainder_means("a", 3, 0, 0)  # build the cached coefficients first
-    tracemalloc.start()
-    try:
-        decade_remainder_means("a", 3, 1, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 512 * 1024
+    # One window of constant u, a few hundred indices here, is fed to the
+    # kernel at a time as ranges, and each decade's walk holds only its
+    # lags, so the peak does not grow with the 10^5 indices walked.
+    for seq in ("a", "u"):
+        decade_remainder_means(seq, 3, 0, 0)  # build the cached coefficients first
+        tracemalloc.start()
+        try:
+            decade_remainder_means(seq, 3, 1, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, seq
 
 
 def test_remainder_table_reaches_far_indices():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from figfig import series
+from figfig import checks, series
 from figfig import (
     MAX_ORDER,
     a_coeff,
@@ -227,15 +227,22 @@ def _reference_ladder(n: int, order: int) -> tuple[float, float, float]:
 @example(n=FIRST_TOO_LARGE["a"] - 1, order=MAX_ORDER)
 def test_series_kernels_equal_an_independent_ladder(n, order):
     # Bit for bit, not approximately: each kernel must do the same float
-    # operations in the same order as the plain ladder.
+    # operations in the same order as the plain ladder.  The remainder
+    # kernel, given the exact value 1, returns its scaled remainder (which
+    # holds the next rung, one square root past the last), tail and
+    # remainder.
     u_total, a_tail, rung = _reference_ladder(n, order)
     assert eval_u_series(n, order) == u_total
-    assert series._ladder_column([n], order, "u") == ([u_total], [rung])
+    remainder = 1 - u_total
+    expected = (remainder / math.sqrt(rung), u_total, remainder)
+    assert checks._scaled_sum("u", series._PREFIXES["u"][order], (n,), (1,)) == expected
     if n < FIRST_TOO_LARGE["b"]:
         assert eval_b_series(n, order) == n + u_total
     if n < FIRST_TOO_LARGE["a"]:
         assert eval_a_series(n, order) == n * n / 2 + a_tail
-        assert series._ladder_column([n], order, "a") == ([a_tail], [rung])
+        remainder = 1 / 2 - a_tail
+        expected = (remainder / (n / 2 * math.sqrt(rung)), a_tail, remainder)
+        assert checks._scaled_sum("a", series._PREFIXES["a"][order], (n,), (1,)) == expected
 
 
 def test_float_coefficients_are_the_rounded_fractions():
