@@ -4,10 +4,13 @@ A b-file is plain text with one "index value" pair per line; blank lines
 and '#' comment lines are allowed and carry no data.  Indices must step
 by exactly 1 from the first record.
 
-Since the indices step by 1, the first index and the list of values
-describe the records.  `parse_bfile` keeps just those two, in a read-only
+Since the indices step by 1, the first index and the values describe
+the records.  `parse_bfile` keeps just those two, in a read-only
 `BFileRecords` sequence that hands out a `BFileRecord` only when one is
-asked for, so the parsed records cost one int each.
+asked for.  The values sit in an array("q"), 8 bytes each, while every
+value fits in a signed 64-bit int, as every value of a, b and u below
+index 4e9 does.  The first value outside that range turns the store into
+a list of ints, once, for the rest of that parse.
 
 The read-back is bulk work.  `parse_bfile` reads a source with `read` (a
 file, an io.StringIO, or a string) in blocks of whole lines, about
@@ -15,22 +18,25 @@ _BLOCK_CHARS (32 Ki) characters each, so its working memory beyond the
 values is one block.  One `%` call checks a whole block: the index lines
 that stream._numbered writes for the indices that continue the records,
 filled with the block's value tokens, must give back the block's text,
-and then only the values go through `int`.  A block that fails the check is split into lines.  Its leading blank
-and '#' lines (a b-file's header) carry no data, and the rest gets the
-check again.  What still fails is read by the line reader, one line at
-a time, with the records, errors and line numbers of a line-by-line
-parse.  Any other source (a list or an iterator of lines) is read whole
-by the line reader.
+and then only the values go through `int`, and into the store by one
+`fromlist` call.  A block that fails the check is split into lines.  Its
+leading blank and '#' lines (a b-file's header) carry no data, and the
+rest gets the check again.  What still fails is read by the line reader,
+one line at a time, with the records, errors and line numbers of a
+line-by-line parse.  Any other source (a list or an iterator of lines)
+is read whole by the line reader.
 
 `compare_reference` compares the values with the generator's column of
-the sequence a chunk at a time, by list equality, and scans only a chunk
-that differs.  `write_bfile` writes one block of lines per chunk, from
-the same index lines of stream._numbered.
+the sequence a chunk at a time, by list equality (an array's chunk
+through `tolist`), and scans only a chunk that differs.  `write_bfile`
+writes one block of lines per chunk, from the same index lines of
+stream._numbered.
 """
 
 import io
+from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from itertools import count, islice, repeat
 from operator import eq, index, itemgetter
 
@@ -63,19 +69,22 @@ def _records(indices: Iterable[int], values: Iterable[int]) -> Iterator[BFileRec
 
 
 class BFileRecords(Sequence):
-    """Contiguous records, held as the first index and a list of values.
+    """Contiguous records, held as the first index and their values.
 
     A read-only sequence of `BFileRecord(first + i, values[i])`, made on
     demand: `len`, indexing (negative indices too), iteration and `in` work
     as on the list of those records, and a slice is such a list.  It is
     `==` to a list of the same records (or of plain (index, value) pairs),
-    and to another BFileRecords holding the same records; like a list, it
-    is never equal to a tuple.  `first` is taken by operator.index; `values` is kept, not copied.
+    and to another BFileRecords holding the same records, whatever either
+    store; like a list, it is never equal to a tuple.  `first` is taken by
+    operator.index; `values` is kept, not copied.  `parse_bfile` gives an
+    array("q") of the values while every value fits in 64 bits, else a
+    list; the repr shows either as a list.
     """
 
     __slots__ = ("first", "values")
 
-    def __init__(self, first: int, values: list[int]) -> None:
+    def __init__(self, first: int, values: MutableSequence[int]) -> None:
         if (first := index(first)) < 1:
             raise ValueError(f"record index must be >= 1, got {first}")
         self.first = first
@@ -96,13 +105,19 @@ class BFileRecords(Sequence):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BFileRecords):
-            return self.values == other.values and (self.first == other.first or not self.values)
+            mine, theirs = self.values, other.values
+            if type(mine) is type(theirs):
+                same = mine == theirs
+            else:  # an array and a list are never ==: compare their elements
+                same = len(mine) == len(theirs) and all(map(eq, mine, theirs))
+            return same and (self.first == other.first or not mine)
         if isinstance(other, list):
             return len(other) == len(self.values) and all(map(eq, self, other))
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"BFileRecords(first={self.first}, values={self.values!r})"
+        values = self.values.tolist() if isinstance(self.values, array) else self.values
+        return f"BFileRecords(first={self.first}, values={values!r})"
 
 
 def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
@@ -119,7 +134,7 @@ def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    records = BFileRecords(1, [])
+    records = BFileRecords(1, array("q"))
     if not hasattr(source, "read"):
         _read_lines(records, source, 1)
         return records
@@ -201,7 +216,14 @@ def _extend_plain(records: BFileRecords, text: str) -> int:
         return 0
     if not records.values:
         records.first = wanted
-    records.values += values
+    store = records.values
+    if isinstance(store, list):
+        store += values
+    else:
+        try:
+            store.fromlist(values)  # all or nothing
+        except OverflowError:  # a value past 64 bits: a list from here on
+            records.values = store.tolist() + values
     return len(values)
 
 
@@ -232,7 +254,11 @@ def _read_lines(records: BFileRecords, lines: Iterable[str], lineno: int) -> Non
                 raise BFileFormatError(f"line {lineno}: gap at index {wanted}")
             else:
                 raise BFileFormatError(f"line {lineno}: index {index} does not advance past {wanted - 1}")
-        values.append(value)
+        try:
+            values.append(value)
+        except OverflowError:  # a value past 64 bits: a list from here on
+            records.values = values = values.tolist()
+            values.append(value)
         wanted = index + 1
 
 
@@ -251,7 +277,7 @@ def _check_contiguous(records: Sequence[BFileRecord]) -> None:
             raise ValueError(f"records not contiguous at index {index}")
 
 
-def _first_and_values(records: Sequence[BFileRecord]) -> tuple[int, list[int]]:
+def _first_and_values(records: Sequence[BFileRecord]) -> tuple[int, Sequence[int]]:
     """The first index and the values of `records`, which must be
     contiguous from at least 1 (the first index of no records is 1)."""
     if isinstance(records, BFileRecords):
@@ -277,7 +303,8 @@ def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
     `seq` over the record range from there, and report the first mismatch.
 
     The values are compared with the column _CHUNK_LINES at a time by list
-    equality; only a chunk that differs is scanned for its first mismatch.
+    equality, an array's chunk through `tolist`; only a chunk that differs
+    is scanned for its first mismatch.
     """
     _check_seq(seq)
     first, values = _first_and_values(records)
@@ -287,6 +314,8 @@ def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
     column = _column(seq, first)
     for start in range(0, len(values), _CHUNK_LINES):
         have = values[start : start + _CHUNK_LINES]
+        if isinstance(have, array):
+            have = have.tolist()
         want = list(islice(column, len(have)))
         if have != want:
             for index, expected, found in zip(count(first + start), want, have):

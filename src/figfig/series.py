@@ -129,14 +129,19 @@ def _too_large(what: str) -> ValueError:
 
 def eval_u_series(n: int, order: int) -> float:
     """Truncated u-series at index n, positions 1..order summed in order."""
-    if n < 1 or not 1 <= order <= MAX_ORDER:
-        _check_args(n, order)
+    try:
+        if n < 1 or not 1 <= order <= MAX_ORDER:
+            _check_args(n, order)
+        coeffs = _PREFIXES["u"][order]
+    except TypeError:
+        _check_order(order)  # a float or str order: _int_arg's TypeError
+        raise
     try:
         root = n / 2
     except OverflowError:
         raise _too_large("n/2") from None
     sqrt, total = math.sqrt, 0.0
-    for coeff in _PREFIXES["u"][order]:
+    for coeff in coeffs:
         root = sqrt(root)
         total += coeff * root
     return total
@@ -153,14 +158,19 @@ def eval_b_series(n: int, order: int) -> float:
 
 def eval_a_series(n: int, order: int) -> float:
     """Truncated a-series at index n: n^2/2 plus the summed tail."""
-    if n < 1 or not 1 <= order <= MAX_ORDER:
-        _check_args(n, order)
+    try:
+        if n < 1 or not 1 <= order <= MAX_ORDER:
+            _check_args(n, order)
+        coeffs = _PREFIXES["a"][order]
+    except TypeError:
+        _check_order(order)  # a float or str order: _int_arg's TypeError
+        raise
     try:
         head, half = n * n / 2, n / 2
     except OverflowError:
         raise _too_large("n^2/2") from None
     sqrt, root, tail = math.sqrt, half, 0.0
-    for coeff in _PREFIXES["a"][order]:
+    for coeff in coeffs:
         root = sqrt(root)
         tail += coeff * root * half  # power 1 + 1/2^k split: no intermediate exceeds n
     return head + tail

@@ -2,6 +2,7 @@
 
 import io
 import sys
+from array import array
 import tracemalloc
 from itertools import accumulate, count, islice
 from operator import itemgetter
@@ -555,9 +556,9 @@ def test_parse_with_comments_gives_each_record_once():
 
 
 def test_parse_keeps_one_int_per_record():
-    # The values list and its ints take about 40 bytes per record, read
-    # from a list of lines one at a time; a named tuple per record took
-    # about 140.
+    # The values take about 8.4 bytes per record in an array("q"), read
+    # from a list of lines one at a time; a list of ints took about 40, and
+    # a named tuple per record about 140.
     lines = [f"{n} {a}\n" for n, a in zip(range(1, 50_001), _column("a", 1))]
     tracemalloc.start()
     try:
@@ -566,14 +567,16 @@ def test_parse_keeps_one_int_per_record():
     finally:
         tracemalloc.stop()
     assert records == [BFileRecord(n, int(line.split()[1])) for n, line in enumerate(lines, start=1)]
-    assert peak < 80 * len(lines)
+    assert peak < 16 * len(lines)
 
 
 def test_parse_of_a_file_keeps_one_block_of_work(tmp_path):
     # A block of whole lines costs about 12 bytes per character while it is
     # checked (its text, the rebuilt text, two tokens and an index per line),
     # so the peak may pass the values by that for one block; the whole
-    # file at once would take about 9 MB here.
+    # file at once would take about 9 MB here.  The values themselves sit
+    # in an array("q"), 8 bytes each plus the sixteenth that its growth
+    # reserves, about 0.4 MB; a list of ints took about 2.2 MB.
     values = list(islice(_column("a", 1), 50_000))
     path = tmp_path / "a.txt"
     path.write_text("".join(f"{n} {a}\n" for n, a in enumerate(values, start=1)), encoding="utf-8")
@@ -585,8 +588,107 @@ def test_parse_of_a_file_keeps_one_block_of_work(tmp_path):
     finally:
         tracemalloc.stop()
     assert records == BFileRecords(1, values)
-    kept = sys.getsizeof(records.values) + sum(map(sys.getsizeof, records.values))
+    kept = sys.getsizeof(records.values)
+    if isinstance(records.values, list):
+        kept += sum(map(sys.getsizeof, records.values))
+    assert kept <= 8 * (len(values) + len(values) // 16 + 7) + sys.getsizeof(array("q"))
     assert peak - kept < 16 * bfile._BLOCK_CHARS
+
+
+# --- The value store: an array("q") while every value fits in 64 bits --------
+
+# Each edge value, and the store a parse that meets it ends with.
+EDGE_STORES = {2**63 - 1: array, -(2**63): array, 2**63: list, -(2**63) - 1: list}
+
+
+def edge_file(value, place, layout):
+    """(text, canonical text, block size): 300 plain lines from index 1000
+    with `value` at the first record or at the 151st, laid out as is, after
+    a '#' header, or with tabs, and a block size that puts the edge line in
+    the middle of the first block that holds it or at that block's end."""
+    lines = plain_lines(300, start=1000)
+    at = 0 if place == "first" else 150
+    lines[at] = f"{1000 + at} {value}\n"
+    canonical = "".join(lines)
+    if layout == "tabs":
+        lines = [line.replace(" ", "\t") for line in lines]
+    head = "# A005228\n\n" if layout == "header" else ""
+    text = head + "".join(lines)
+    # The first read ends at a newline, so the first block ends there too.
+    end = len(head) + len("".join(lines[: at + (1 if place == "block end" else 11)]))
+    return text, canonical, end
+
+
+@pytest.mark.parametrize("value", list(EDGE_STORES))
+@pytest.mark.parametrize("place", ["first", "middle", "block end"])
+@pytest.mark.parametrize("layout", ["plain", "header", "tabs", "list"])
+def test_parse_keeps_each_value_at_the_64_bit_edges(value, place, layout):
+    text, canonical, block = edge_file(value, place, layout)
+    source = text.splitlines(keepends=True) if layout == "list" else io.StringIO(text)
+    with mock.patch.object(bfile, "_BLOCK_CHARS", block):
+        records = parse_bfile(source)
+    assert type(records.values) is EDGE_STORES[value]
+    expected = reference_parse(text)
+    assert records == expected and len(records.values) == len(expected) == 300
+    assert records[0 if place == "first" else 150].value == value
+    sink = io.StringIO()
+    write_bfile(records, sink)
+    assert sink.getvalue() == canonical
+
+
+def test_parse_and_compare_values_past_64_bits(tmp_path):
+    # a near index 10**12 is about 5e23, past 2**63 from the first record.
+    values = list(islice(_column("a", 10**12), 3000))
+    assert values[0] > 2**63
+    path = tmp_path / "far.txt"
+    text = "".join(f"{n} {a}\n" for n, a in zip(count(10**12), values))
+    path.write_text(text, encoding="utf-8")
+    with open(path, encoding="utf-8") as source:
+        records = parse_bfile(source)
+    assert type(records.values) is list
+    assert records == BFileRecords(10**12, values)
+    assert compare_reference(records, "a") == CheckReport("compare:a", 10**12, 10**12 + 2999, True, None)
+    sink = io.StringIO()
+    write_bfile(records, sink)
+    assert sink.getvalue() == text
+
+
+@pytest.mark.parametrize("first", [1, 998, 10**12])
+def test_records_are_equal_across_stores(first):
+    values = [3 * n - 7 for n in range(first, first + 40)]
+    stored, listed = BFileRecords(first, array("q", values)), BFileRecords(first, values)
+    assert stored == listed and listed == stored
+    assert not (stored != listed or listed != stored)
+    assert repr(stored) == repr(listed) == f"BFileRecords(first={first}, values={values!r})"
+    empty = BFileRecords(first, array("q"))
+    assert empty == BFileRecords(first + 5, []) and BFileRecords(first + 5, []) == empty
+    assert repr(empty) == f"BFileRecords(first={first}, values=[])"
+    changed = values.copy()
+    changed[17] += 1
+    for other in (
+        BFileRecords(first, changed),
+        BFileRecords(first + 1, values),
+        BFileRecords(first, values[:-1]),
+        BFileRecords(first, array("q", changed)),
+    ):
+        assert stored != other and other != stored
+        assert not (stored == other or other == stored)
+        if type(other.values) is list:
+            assert listed != BFileRecords(other.first, array("q", other.values))
+
+
+@pytest.mark.parametrize("where", [None, 5, bfile._CHUNK_LINES + 500, 3 * bfile._CHUNK_LINES + 4])
+def test_compare_reports_alike_on_both_stores(where):
+    # Three whole chunks and five values: a mismatch in the first chunk, a
+    # middle one, or on the last value, of the last chunk.
+    values = list(islice(_column("a", 1), 3 * bfile._CHUNK_LINES + 5))
+    expected = CheckReport("compare:a", 1, len(values), True, None)
+    if where is not None:
+        values[where] += 1
+        failure = (where + 1, f"expected {values[where] - 1}, b-file has {values[where]}")
+        expected = expected._replace(passed=False, first_failure=failure)
+    for store in (array("q", values), values):
+        assert compare_reference(BFileRecords(1, store), "a") == expected
 
 
 @pytest.mark.parametrize("first", [1, 998, 10**12])

@@ -4,6 +4,7 @@ import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -165,10 +166,23 @@ def test_eval_a_head_term_dominates():
     lambda: eval_u_series(8, MAX_ORDER + 1),
     lambda: eval_a_series(0, 1),
     lambda: eval_a_series(8, 0),
+    # Orders that operator.index refuses: 0.5 fails the range test, 2.0
+    # passes it and "2" raises a TypeError of its own there, so only the
+    # fallback to _check_order names the last two.
+    *(
+        partial(evaluate, 100, order)
+        for evaluate in (eval_u_series, eval_b_series, eval_a_series)
+        for order in (2.0, 0.5, "2")
+    ),
 ])
 def test_eval_domain_errors(call):
-    with pytest.raises(ValueError):
-        call()
+    if isinstance(call, partial):
+        kind = type(call.args[1]).__name__
+        with pytest.raises(TypeError, match=f"^'{kind}' object cannot be interpreted as an integer$"):
+            call()
+    else:
+        with pytest.raises(ValueError):
+            call()
 
 
 # The first index whose head term leaves the double range, for each
