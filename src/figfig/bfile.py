@@ -27,10 +27,10 @@ line-by-line parse.  Any other source (a list or an iterator of lines)
 is read whole by the line reader.
 
 `compare_reference` compares the values with the generator's column of
-the sequence a chunk at a time, by list equality (an array's chunk
-through `tolist`), and scans only a chunk that differs.  `write_bfile`
-writes one block of lines per chunk, from the same index lines of
-stream._numbered.
+the sequence a chunk at a time, by list equality (each chunk copied to
+a list, whatever the store), and scans only a chunk that differs.
+`write_bfile` writes one block of lines per chunk, from the same index
+lines of stream._numbered.
 """
 
 import io
@@ -104,20 +104,14 @@ class BFileRecords(Sequence):
         return _records(count(self.first), self.values)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BFileRecords):
-            mine, theirs = self.values, other.values
-            if type(mine) is type(theirs):
-                same = mine == theirs
-            else:  # an array and a list are never ==: compare their elements
-                same = len(mine) == len(theirs) and all(map(eq, mine, theirs))
-            return same and (self.first == other.first or not mine)
-        if isinstance(other, list):
+        if isinstance(other, BFileRecords) and type(self.values) is type(other.values):
+            return self.values == other.values and (self.first == other.first or not self.values)
+        if isinstance(other, (BFileRecords, list)):  # an array and a list are never ==
             return len(other) == len(self.values) and all(map(eq, self, other))
         return NotImplemented
 
     def __repr__(self) -> str:
-        values = self.values.tolist() if isinstance(self.values, array) else self.values
-        return f"BFileRecords(first={self.first}, values={values!r})"
+        return f"BFileRecords(first={self.first}, values={list(self.values)!r})"
 
 
 def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
@@ -202,8 +196,6 @@ def _extend_plain(records: BFileRecords, text: str) -> int:
     if text.count(" ") != text.count("\n"):
         return 0  # not one space to a line: spare the split and the rebuild
     tokens = text.split()
-    if len(tokens) % 2:
-        return 0
     values = tokens[1::2]
     try:
         wanted = records.first + len(records.values) if records.values else int(tokens[0])
@@ -262,28 +254,20 @@ def _read_lines(records: BFileRecords, lines: Iterable[str], lineno: int) -> Non
         wanted = index + 1
 
 
-def _check_contiguous(records: Sequence[BFileRecord]) -> None:
-    # Positions [0], not `.index`: on a plain (index, value) tuple that is tuple.index.
-    if not records or (
-        records[0][0] >= 1
-        and all(map(eq, map(itemgetter(0), records), count(records[0][0])))
-    ):
-        return
-    # Not contiguous from at least 1: walk the records to name the first fault.
-    for position, index in enumerate(map(itemgetter(0), records)):
-        if index < 1:
-            raise ValueError(f"record index must be >= 1, got {index}")
-        if position and index != records[position - 1][0] + 1:
-            raise ValueError(f"records not contiguous at index {index}")
-
-
 def _first_and_values(records: Sequence[BFileRecord]) -> tuple[int, Sequence[int]]:
     """The first index and the values of `records`, which must be
     contiguous from at least 1 (the first index of no records is 1)."""
     if isinstance(records, BFileRecords):
         return records.first, records.values
-    _check_contiguous(records)
-    return (records[0][0] if records else 1), list(map(itemgetter(1), records))
+    # Positions [0], not `.index`: on a plain (index, value) tuple that is tuple.index.
+    first = records[0][0] if records else 1
+    # From max(first, 1), a first index below 1 is the first fault.
+    for wanted, index in enumerate(map(itemgetter(0), records), start=max(first, 1)):
+        if index != wanted:
+            if index < 1:
+                raise ValueError(f"record index must be >= 1, got {index}")
+            raise ValueError(f"records not contiguous at index {index}")
+    return first, list(map(itemgetter(1), records))
 
 
 def write_bfile(records: Sequence[BFileRecord], sink: io.TextIOBase) -> None:
@@ -303,8 +287,8 @@ def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
     `seq` over the record range from there, and report the first mismatch.
 
     The values are compared with the column _CHUNK_LINES at a time by list
-    equality, an array's chunk through `tolist`; only a chunk that differs
-    is scanned for its first mismatch.
+    equality, each chunk copied to a list whatever the store; only a chunk
+    that differs is scanned for its first mismatch.
     """
     _check_seq(seq)
     first, values = _first_and_values(records)
@@ -313,9 +297,7 @@ def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
     name, hi = f"compare:{seq}", first + len(values) - 1
     column = _column(seq, first)
     for start in range(0, len(values), _CHUNK_LINES):
-        have = values[start : start + _CHUNK_LINES]
-        if isinstance(have, array):
-            have = have.tolist()
+        have = list(values[start : start + _CHUNK_LINES])
         want = list(islice(column, len(have)))
         if have != want:
             for index, expected, found in zip(count(first + start), want, have):

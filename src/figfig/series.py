@@ -17,14 +17,15 @@ intermediate in range and loses well under 1e-12 relative accuracy for
 arguments up to 1e18.  An index whose head term leaves the double range
 raises ValueError: n/2 for the u-series (n from about 3.6e308), n for
 the b-series (from about 1.8e308) and n^2/2 for the a-series (from
-about 1.9e154).
+about 1.9e154); a float index raises where an int of its size does, and
+the float inf with it.
 
 The exact integer ratios come from a recurrence, one big-integer step per
 position.  The float coefficients are their correctly rounded quotients,
 so `fractions` is imported only by u_coeff and a_coeff, and each family
-keeps them as one tuple per order, built on first use.  eval_u_series and
-eval_a_series each climb the ladder in a flat loop of their own; none of
-this changes a bit of any result.
+keeps them as one tuple per order, built when the module loads.
+eval_u_series and eval_a_series each climb the ladder in a flat loop of
+their own; none of this changes a bit of any result.
 """
 
 import math
@@ -49,7 +50,7 @@ MAX_ORDER = 64
 
 
 def _check_args(n: int, order: int) -> None:
-    if n < 1:
+    if not n >= 1:  # not `n < 1`: a NaN index fails this too
         raise ValueError("sequence index must be >= 1")
     _check_order(order)
 
@@ -112,15 +113,8 @@ def _floats(summed: str) -> tuple[float, ...]:
     return tuple(p / q for p, q in islice(_ratios(summed), MAX_ORDER))
 
 
-class _Prefixes(dict):
-    """family -> prefixes, prefixes[order] = (c_1, ..., c_order); built on first use, not at import."""
-
-    def __missing__(self, summed: str) -> tuple[tuple[float, ...], ...]:
-        self[summed] = prefixes = tuple(accumulate(zip(_floats(summed)), initial=()))
-        return prefixes
-
-
-_PREFIXES = _Prefixes()
+# family -> prefixes, prefixes[order] = (c_1, ..., c_order).
+_PREFIXES = {summed: tuple(accumulate(zip(_floats(summed)), initial=())) for summed in "ua"}
 
 
 def _too_large(what: str) -> ValueError:
@@ -130,14 +124,15 @@ def _too_large(what: str) -> ValueError:
 def eval_u_series(n: int, order: int) -> float:
     """Truncated u-series at index n, positions 1..order summed in order."""
     try:
-        if n < 1 or not 1 <= order <= MAX_ORDER:
+        if not n >= 1 or not 1 <= order <= MAX_ORDER:
             _check_args(n, order)
         coeffs = _PREFIXES["u"][order]
     except TypeError:
         _check_order(order)  # a float or str order: _int_arg's TypeError
         raise
     try:
-        root = n / 2
+        if (root := n / 2) == math.inf:  # the float inf
+            raise OverflowError
     except OverflowError:
         raise _too_large("n/2") from None
     sqrt, total = math.sqrt, 0.0
@@ -159,7 +154,7 @@ def eval_b_series(n: int, order: int) -> float:
 def eval_a_series(n: int, order: int) -> float:
     """Truncated a-series at index n: n^2/2 plus the summed tail."""
     try:
-        if n < 1 or not 1 <= order <= MAX_ORDER:
+        if not n >= 1 or not 1 <= order <= MAX_ORDER:
             _check_args(n, order)
         coeffs = _PREFIXES["a"][order]
     except TypeError:
@@ -167,6 +162,9 @@ def eval_a_series(n: int, order: int) -> float:
         raise
     try:
         head, half = n * n / 2, n / 2
+        # A float n * n overflows from 2^512 on; half * n is n^2/2 rounded once, as for an int n.
+        if head == math.inf and (head := half * n) == math.inf:
+            raise OverflowError
     except OverflowError:
         raise _too_large("n^2/2") from None
     sqrt, root, tail = math.sqrt, half, 0.0

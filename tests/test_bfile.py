@@ -536,6 +536,10 @@ def test_parse_after_a_leading_comment_block(bfile_path, block):
         ("# c\n0 5\n1 6\n", "line 2: index must be >= 1, got 0"),
         ("0 5\n" + "".join(plain_lines(30, start=1)), "line 1: index must be >= 1, got 0"),
         ("-3 5\n-2 6\n", "line 1: index must be >= 1, got -3"),
+        # As many spaces as newlines and an odd number of tokens: the one-%
+        # check rejects the block, and the line reader names the line.
+        ("1 5 6\n\n", "line 1: expected 'index value', got '1 5 6'"),
+        ("1 2\n3 \n", "line 2: expected 'index value', got '3'"),
     ],
 )
 def test_parse_bad_first_index(bfile_path, block, text, message):

@@ -174,9 +174,25 @@ def test_eval_a_head_term_dominates():
         for evaluate in (eval_u_series, eval_b_series, eval_a_series)
         for order in (2.0, 0.5, "2")
     ),
+    # Float indices: past the float range (as an int of that size is), the
+    # float inf, and NaN, which fails no `n < 1` test.
+    *(
+        partial(evaluate, n, 2)
+        for evaluate, ns in (
+            (eval_u_series, (math.inf, math.nan)),
+            (eval_b_series, (math.inf, math.nan)),
+            (eval_a_series, (1e160, 1e308, math.inf, math.nan)),
+        )
+        for n in ns
+    ),
 ])
 def test_eval_domain_errors(call):
-    if isinstance(call, partial):
+    if isinstance(call, partial) and isinstance(call.args[0], float):
+        n = call.args[0]
+        message = "^sequence index must be >= 1$" if math.isnan(n) else " exceeds the float range$"
+        with pytest.raises(ValueError, match=message):
+            call()
+    elif isinstance(call, partial):
         kind = type(call.args[1]).__name__
         with pytest.raises(TypeError, match=f"^'{kind}' object cannot be interpreted as an integer$"):
             call()
@@ -206,6 +222,19 @@ def test_eval_at_the_edge_of_the_double_range(seq, order):
     for n in (first, first + 1, 10**400):
         with pytest.raises(ValueError, match="exceeds the float range"):
             evaluate(n, order)
+
+
+@pytest.mark.parametrize("n", [2.0**512, 1.5e154, 1.89e154, 1.9e154])
+def test_eval_a_float_index_as_its_int(n):
+    # A float n * n overflows from 2^512 on, before n^2/2 does: the float
+    # gives the int's value, or its error.
+    try:
+        expected = eval_a_series(int(n), MAX_ORDER)
+    except ValueError:
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            eval_a_series(n, MAX_ORDER)
+    else:
+        assert eval_a_series(n, MAX_ORDER) == expected
 
 
 def test_a_series_range_ends_near_1_9e154():
