@@ -346,23 +346,29 @@ def _scaled_sum(
     climbs the ladder in a flat loop by the float operations of
     eval_u_series and eval_a_series, so its tail equals theirs bit for
     bit; one more square root of its last rung (n/2)^(1/2^order) gives the
-    next rung, which scales the remainder.
+    next rung, which scales the remainder.  The first rung is taken out of
+    the loop: the evaluators add its term to 0.0, and 0.0 + x is x for
+    every double but -0.0, which that term never is, since n >= 1 makes
+    the root positive and the first coefficient of each family is
+    positive.
     """
     sqrt = math.sqrt
+    first, rest = coeffs[0], coeffs[1:]
     if summed == "a":
         for n, e in zip(ns, exact):
-            root = half = n / 2
-            tail = 0.0
-            for coeff in coeffs:
+            half = n / 2
+            root = sqrt(half)
+            tail = first * root * half
+            for coeff in rest:
                 root = sqrt(root)
                 tail += coeff * root * half
             remainder = e / 2 - tail
             total += remainder / (half * sqrt(root))
     else:
         for n, u in zip(ns, exact):
-            root = n / 2
-            tail = 0.0
-            for coeff in coeffs:
+            root = sqrt(n / 2)
+            tail = first * root
+            for coeff in rest:
                 root = sqrt(root)
                 tail += coeff * root
             remainder = u - tail
@@ -399,8 +405,8 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
 
     ns must be non-empty and strictly increasing ints (operator.index);
     order is the truncation depth whose next rung scales the remainder.  The walk starts by
-    O(sqrt n) jump-ahead at the first index and goes on window by window
-    to the last, so it costs no more than one jump to the last index.
+    O(n^(1/4)) jump-ahead at the first index and goes on window by window
+    to the last, through the u_last - u_first windows between them.
     Each row's series is summed on its own, by one flat climb of the ladder.
     """
     from .series import _PREFIXES, _check_order
@@ -426,7 +432,7 @@ def decade_remainder_means(
 
     The means drift toward the next coefficient as the decades climb.
     Each decade is one walk of the windows of constant u, started by
-    jump-ahead at 10^d (about sqrt(2 10^d) steps against its 9 10^d
+    jump-ahead at 10^d (about (8 10^d)^(1/4) steps against its 9 10^d
     indices), with its last window cut at 10^(d+1).  A window's exact
     values come as ranges, u = k throughout and e_n = 2 a_n - n^2 stepping
     by 2k - 1, with no per-index big-integer product, and its scaled

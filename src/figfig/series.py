@@ -100,7 +100,7 @@ def a_coeff(k: int) -> "Fraction":
 
 def root_pow(x: float, k: int) -> float:
     """x^(1/2^k) by k successive square roots (x >= 0, 1 <= k <= 64)."""
-    if x < 0:
+    if not x >= 0:  # not `x < 0`: a NaN argument fails this too
         raise ValueError("root_pow needs a non-negative argument")
     for _ in range(_check_order(k)):
         x = math.sqrt(x)

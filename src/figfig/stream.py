@@ -20,20 +20,26 @@ costs amortized O(1) integer operations.
 Random access follows from the windows.  Since a_n = 1 + (n-1)n/2 + the
 sum of u_i over i < n, and u is constant on each window, that sum is
 k * (width of window k) over the whole windows below n plus one partial
-window.  Jumping to index n therefore walks only the ~sqrt(2 n) leading
-a-values and precomputes no table.
+window.  The windows k that share one value u_k = m form a level-2
+window, on which a_{k+1} = a_k + k + m, so closed sums of k and k^2
+step over a whole one at once: `_locate` finds the window holding
+index n from the ~(8 n)^(1/4) leading a-values, about 1,700 at n =
+1e12 where the window-by-window walk read 1.4 million, and precomputes
+no table.
 
 The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
 the indices run from n, u = k throughout, and the next window's a is
-a_n plus the sum of that range; its lag `_a_values()` is its own a
-column.  The law checks and the decade means read the windows
-themselves.  `_columns` gives one window's n, a, b and u columns as
-C-level iterables, which the law checks and `figfig gen` read;
-`_column(seq, start)` chains one of them across the windows from
-`start`, which the b-file compare reads; `_heads` reads the values at a
-few sparse indices, for value_at and the remainder table; and `_rows`
-zips each window's columns into `Triple` rows for TripleStream.
+a_n plus the sum of that range.  It starts from `_locate(start)`, and
+its lag `_a_values(k + 2)` is its own a column from the next window's
+bound on, found by the same jump one level down.  The law checks and
+the decade means read the windows themselves.  `_columns` gives one
+window's n, a, b and u columns as C-level iterables, which the law
+checks and `figfig gen` read; `_column(seq, start)` chains one of them
+across the windows from `start`, which the b-file compare reads;
+`_heads` reads the values at a few sparse indices, for value_at and the
+remainder table; and `_rows` zips each window's columns into `Triple`
+rows for TripleStream.
 
 The index column, which counts up by 1, is written as text by
 `_numbered`, for `figfig gen` and for the b-file reader's check and its
@@ -42,6 +48,7 @@ thousands prefix converted, in place of one int-to-decimal conversion
 per line.
 """
 
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, islice, repeat
@@ -69,14 +76,52 @@ Triple = namedtuple("Triple", "n a b u")
 Triple.__doc__ = "One row of the joint stream: the index and all three values there."
 
 
-def _a_values() -> Iterator[int]:
-    """a_1, a_2, ...: the given 1, 3, 7, then the a column of _runs(4).
+def _a_values(start: int = 1) -> Iterator[int]:
+    """a_start, a_{start+1}, ...: the given 1, 3, 7 from `start` on, then the a column of _runs(4).
 
-    The recursion ends: that walk locates index 4 in window 2 from a_1..a_3
-    of its own lag, all given, and asks its lag for a_4 only when it starts
-    window 3, after its window 2 has given a_4 from the given values.
+    From 4 on that is just the a column of _runs(start).  The recursion
+    ends: to yield a_j, a walk asks its lags only for values at indices
+    below j, or for a_1..a_3, which are given.  Its _locate reads up to
+    a_{u_{u_j} + 1}, and a window u_j after its first needs the bound
+    a_{u_j + 1}.
     """
-    return chain((1, 3, 7), _column("a", 4))
+    return chain((1, 3, 7)[start - 1 :], _column("a", max(start, 4)))
+
+
+def _locate(start: int) -> tuple[int, int, int, int]:
+    """(k, a_k, a_{k+1}, s): the window k of constant u holding index `start` (>= 1), and s the sum of u below it.
+
+    Window k holds the indices (a_k - k, a_{k+1} - (k + 1)], b_k - 1 of
+    them, on which u = k.  Since b_i = i + u_i,
+
+        a_k = 1 + k (k - 1) / 2 + (sum of u_i over i < k)
+        s = (k - 1) k (k - 2) / 3 + (sum of i u_i over i < k).
+
+    The windows i with one value u_i = m are level-2 window m, i from
+    a_m - m + 1 to a_{m+1} - m - 1, so each such run adds m times its
+    length to the first sum and m times the sum of its i to the second.
+    The walk steps over whole level-2 windows, reading a_{m+1} from a lag
+    of a-values, about (8 start)^(1/4) steps, and bisects the last one
+    for k.
+    """
+    lag = _a_values()
+    m, lo, hi = 1, next(lag), next(lag)  # a_m and a_{m+1}
+    q = r = 0  # the sums of u_i and of i u_i over the windows i below level-2 window m
+
+    def last(k: int) -> int:
+        """a_{k+1} - (k + 1), the last index of window k, for k in level-2 window m."""
+        return k * (k - 1) // 2 + q + m * (k + m - lo)
+
+    # last(hi - m - 1), inlined: the last index of level-2 window m's last window.
+    while (hi - m - 1) * (hi - m - 2) // 2 + q + m * (hi - lo - 1) < start:
+        q += m * (hi - lo - 1)
+        r += m * (lo + hi - 2 * m) * (hi - lo - 1) // 2
+        m, lo, hi = m + 1, hi, next(lag)
+    first = lo - m + 1
+    k = bisect_left(range(hi - m), start, first, key=last)
+    a = 1 + k * (k - 1) // 2 + q + m * (k - first)
+    s = (k - 1) * k * (k - 2) // 3 + r + m * (first + k - 1) * (k - first) // 2
+    return k, a, a + k + m, s
 
 
 def _runs(start: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -84,22 +129,17 @@ def _runs(start: int) -> Iterator[tuple[int, int, int, int, int]]:
 
     Each step is (n, a, first, hi, k): the window's first index n, a_n,
     and its b-values range(first, hi), on which u = k.  The first window
-    is the part of window k from `start` on, so its `first` is b_start.
-    First walks whole windows of the a-values of a lag, _a_values(), to
-    find the run k holding `start` and the sum of u below it, about
-    sqrt(2 start) steps.  The bound of the next window is drawn from the
-    lag only when that window is asked for.
+    is the part of window k from `start` on, so its `first` is b_start;
+    _locate finds k.  The bound a_{k+2} of the next window and those
+    after it come from a lag, _a_values(k + 2), the same jump a level
+    down, drawn only when that window is asked for.
     """
-    lag = _a_values()
-    k, lo, hi = 1, next(lag), next(lag)
-    u_sum = 0  # sum of u over the whole windows below window k
-    while hi - (k + 1) < start:
-        u_sum += k * (hi - lo - 1)
-        k, lo, hi = k + 1, hi, next(lag)
+    k, lo, hi, u_sum = _locate(start)
     n = start
     u_sum += k * (n - 1 - (lo - k))
     a = 1 + (n - 1) * n // 2 + u_sum
     first = n + k  # b_n
+    lag = _a_values(k + 2)
     while True:
         yield n, a, first, hi, k
         n, a = n + hi - first, a + (first + hi - 1) * (hi - first) // 2
@@ -128,9 +168,10 @@ def _column(seq: str, start: int) -> Iterator[int]:
 def _heads(ns: Sequence[int]) -> list[tuple[int, int, int]]:
     """(a_n, b_n, u_n) at each index of ns (strictly increasing, >= 1).
 
-    One walk of the windows of constant u, started by jump-ahead at
-    ns[0]: the window (m, a, first, hi, k) holding n gives, with d = n - m,
-    b_n = first + d, u_n = k and a_n = a + d first + d (d - 1) / 2.
+    One walk of the windows of constant u, started by the O(n^(1/4))
+    jump of _locate at ns[0]: the window (m, a, first, hi, k) holding n
+    gives, with d = n - m, b_n = first + d, u_n = k and
+    a_n = a + d first + d (d - 1) / 2.
     """
     windows = _runs(ns[0])
     m, a, first, hi, k = next(windows)
@@ -209,6 +250,6 @@ class TripleStream:
 
 
 def value_at(seq: str, n: int) -> int:
-    """The n-th term of sequence "a", "b", or "u", by O(sqrt n) jump-ahead; n is an int (operator.index)."""
+    """The n-th term of sequence "a", "b", or "u", by O(n^(1/4)) jump-ahead; n is an int (operator.index)."""
     _check_seq(seq)
     return _heads((_int_arg(n, "index", 1),))[0][SEQUENCE_IDS.index(seq)]

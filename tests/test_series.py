@@ -94,8 +94,9 @@ def test_root_pow_values():
 
 
 def test_root_pow_domain_errors():
-    with pytest.raises(ValueError):
-        root_pow(-1.0, 1)
+    for x in (-1.0, -math.inf, math.nan):  # NaN is not >= 0 either
+        with pytest.raises(ValueError, match="non-negative"):
+            root_pow(x, 1)
     with pytest.raises(ValueError):
         root_pow(4.0, 0)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from functools import lru_cache
 from itertools import islice, takewhile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from figfig import (
     Triple,
@@ -21,6 +21,7 @@ from figfig.stream import (
     _a_values,
     _column,
     _columns,
+    _locate,
     _numbered,
     _rows,
     _runs,
@@ -33,6 +34,9 @@ JUMP_ROWS = 5  # rows compared after each jump
 RUN_STEPS = 3  # windows of _runs compared after each start
 RUN_ROWS = 1000  # more than RUN_STEPS windows hold near JUMP_LIMIT
 
+# a at index 10**15, as the walk of window after window found it.
+A_AT_1E15 = 500000029809255627825531266625
+
 # Leading terms as published for A005228, A030124, and A225687.
 A_FIRST = [1, 3, 7, 12, 18, 26, 35, 45, 56, 69]
 B_FIRST = [2, 4, 5, 6, 8, 9, 10, 11, 13, 14]
@@ -41,17 +45,16 @@ U_FIRST = [1, 2, 2, 2, 3, 3, 3, 3, 4, 4]
 
 def lag_reads(monkeypatch):
     """Patch stream._a_values so that each lag it makes records the values
-    read from it; return the list of those records, in the order the lags
-    were made, so the outermost walk's lag comes first."""
+    read from it; return the list of (start, values) records, in the order
+    the lags were made.  A walk makes its _locate's lag first, and its own
+    lag once _locate has returned, after any lags made inside the first."""
     real = stream._a_values
     reads = []
 
-    def recording():
+    def recording(start=1):
         values = []
-        reads.append(values)
-        for value in real():
-            values.append(value)
-            yield value
+        reads.append((start, values))
+        return (values.append(value) or value for value in real(start))
 
     monkeypatch.setattr(stream, "_a_values", recording)
     return reads
@@ -124,8 +127,10 @@ def test_value_at_takes_any_integer_index():
 
 
 def test_value_at_far_index_is_pinned():
-    # Recorded on its own, not derived from the walk under test.
+    # Recorded on their own, not derived from the walk under test; the one
+    # at 10**15 came from the one-level walk that _locate replaced.
     assert value_at("a", 10**12) == 500000941936492050650505
+    assert value_at("a", 10**15) == A_AT_1E15
 
 
 def test_matches_oracle_deeply():
@@ -239,7 +244,7 @@ def test_runs_flatten_to_the_oracle_rows(start):
     check_runs_from(start)
 
 
-@pytest.mark.parametrize("start", [10**9, 10**12])
+@pytest.mark.parametrize("start", [10**9, 10**12, 10**15, 10**18])
 def test_laws_hold_far_out(start):
     rows = list(islice(_rows(start), 51))
     assert [row.n for row in rows] == list(range(start, start + 51))
@@ -255,21 +260,87 @@ def test_laws_hold_far_out(start):
 
 
 def test_far_jump_agrees_with_streaming_from_an_earlier_jump():
-    start = 10**9
-    streamed = list(islice(_rows(start - 3000), 3050))[3000:]
-    assert streamed == list(islice(_rows(start), 50))
+    # Also jump to the first index of the next window of constant u, so
+    # that the rows streamed up to it cross a window's end.
+    for start in (10**9, 10**18):
+        k, _, a_next, _ = _locate(start)
+        for jump in (start, a_next - k):
+            streamed = list(islice(_rows(jump - 3000), 3050))[3000:]
+            assert streamed == list(islice(_rows(jump), 50))
 
 
 def test_lag_length_tracks_u_all_along(monkeypatch):
-    # The walk from 1 has read a_1..a_{u+1} of its lag at a row of u, so
-    # about sqrt(2n) values at index n.  Its lag's own lag reads about the
-    # square root of that, and so on down to one that reads only the given
-    # 1, 3, 7: five walks in all at 20000 rows.
+    # The walk from 1 starts in window 1, so its lag starts at a_3; at a
+    # row of u it has read up to a_{u+1} of it, so about sqrt(2n) values
+    # at index n.  That lag is the walk from 4, whose lag reads up to about
+    # the square root of that, and so on down to a walk from 4 that reads
+    # nothing: four lags read at 20000 rows, where the one-level walk read
+    # 191, 18, 6, 4 and 3 values.  Each _locate reads the given 1, 3, 7 at
+    # most.
     reads = lag_reads(monkeypatch)
     for row in islice(_rows(1), 20_000):
-        assert row.u + 1 <= len(reads[0]) <= row.u + 2
-    assert reads[0] == [row[1] for row in oracle_table()[: len(reads[0])]]
-    assert [len(values) for values in reads] == [191, 18, 6, 4, 3]
+        start, values = reads[1]  # the walk's lag, made after its _locate's
+        assert start == 3
+        assert row.u + 1 <= start + len(values) - 1 <= row.u + 2  # the last index read
+    assert values == [row[1] for row in oracle_table()[2 : 2 + len(values)]]
+    assert [(start, len(values)) for start, values in reads] == [
+        (1, 2), (3, 189),  # the walk from 1: its _locate's lag, its lag
+        (1, 3), (4, 15),  # the walk from 4 in that lag, which reads up to a_18
+        (1, 3), (4, 3),  # up to a_6
+        (1, 3), (4, 1),  # up to a_4
+        (1, 3), (4, 0),  # a lag never read
+    ]
+
+
+def test_jump_reads_about_a_fourth_root_of_its_index(monkeypatch):
+    # The one-level walk read the 1.4e6 leading a-values to reach 10**12.
+    # _locate's lag reads about (8 n)^(1/4) = 1682 of them, and the lags
+    # its lag makes in turn only a few dozen more.
+    reads = lag_reads(monkeypatch)
+    assert value_at("a", 10**12) == 500000941936492050650505
+    assert abs(len(reads[0][1]) - (8 * 10**12) ** 0.25) < 50  # _locate's own lag: 1649
+    assert sum(len(values) for _, values in reads) <= 2 * 10**3
+    assert reads[-1] == (value_at("u", 10**12) + 2, [])  # the walk's own lag, unread
+
+
+def reference_locate(start):
+    """(k, a_k, a_{k+1}, s) by the walk that _locate replaced, kept as the
+    reference: one window of constant u at a time, its bounds read from
+    the oracle's a column, about sqrt(2 start) steps."""
+    lag = iter(oracle_a_column())
+    k, lo, hi = 1, next(lag), next(lag)
+    u_sum = 0  # sum of u over the whole windows below window k
+    while hi - (k + 1) < start:
+        u_sum += k * (hi - lo - 1)
+        k, lo, hi = k + 1, hi, next(lag)
+    return k, lo, hi, u_sum
+
+
+@lru_cache(maxsize=None)
+def oracle_a_column():
+    """a_1 .. a_45000, enough for reference_locate up to start = 1e9."""
+    return tuple(row[1] for row in oracle_triples(45_000))
+
+
+def check_locate(start):
+    """_locate(start) and the first window of _runs(start) against reference_locate."""
+    k, a_k, a_next, u_sum = reference_locate(start)
+    assert _locate(start) == (k, a_k, a_next, u_sum)
+    a = 1 + (start - 1) * start // 2 + u_sum + k * (start - 1 - (a_k - k))
+    assert next(_runs(start)) == (start, a, start + k, a_next, k)
+
+
+def test_locate_matches_the_reference_near_the_start():
+    # Starts 1 to 3 lie in windows 1 and 2 of level-2 windows 1 and 2.
+    for start in range(1, 3001):
+        check_locate(start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(1, 10**9))
+@example(start=10**9)
+def test_locate_matches_the_reference(start):
+    check_locate(start)
 
 
 def check_columns(window, widths):
@@ -338,14 +409,14 @@ def test_rows_match_the_reference(start):
 
 @pytest.mark.parametrize("start", [1, 2, 5, 1000])
 def test_rows_pass_a_recorded_lag_through(monkeypatch, start):
-    # The same rows, and the walk's lag read just as far: _rows asks _runs
-    # for a window only when the rows before it are used up.
+    # The same rows, and every lag read just as far: _rows asks _runs for
+    # a window only when the rows before it are used up.
     reads = lag_reads(monkeypatch)
     rows = list(islice(_rows(start), 20_000))
-    read = reads[0]
+    read = list(reads)
     reads.clear()
     assert rows == list(islice(reference_rows(start), 20_000))
-    assert reads[0] == read
+    assert reads == read
 
 
 def test_readme_window_counts():
