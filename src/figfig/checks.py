@@ -19,14 +19,15 @@ the exact values.  The remainder is divided by the next rung of the
 power ladder, the term a one-order-deeper truncation would add; on that
 scale it settles near the next coefficient.  Where it should settle, and
 how tightly, is a convention of this package's test suite rather than a
-proved enclosure.  Both remainder tools feed one per-index kernel that
-climbs the ladder in a flat loop, with the same float operations, in the
-same order, as the series evaluators take, and adds each scaled
-remainder to a running float.  The decade means feed it one window of
-constant u at a time, so their working memory stays a few windows' worth
-however many decades they span; each decade's scaled values are added
-left to right, one at a time, so the means are the same floats an
-index-by-index walk gives.
+proved enclosure.  Both remainder tools climb the ladder index by index
+with the same float operations, in the same order, as the series
+evaluators take, and add each scaled remainder to a running float: the
+table by one kernel that climbs in a flat loop, the decade means one
+window of constant u at a time, by an unrolled body at orders 1 to 3 and
+by that loop deeper.  So the decade means' working memory stays a few
+windows' worth however many decades they span; each decade's scaled
+values are added left to right, one at a time, so the means are the
+same floats an index-by-index walk gives.
 """
 
 import math
@@ -350,7 +351,9 @@ def _scaled_sum(
     the loop: the evaluators add its term to 0.0, and 0.0 + x is x for
     every double but -0.0, which that term never is, since n >= 1 makes
     the root positive and the first coefficient of each family is
-    positive.
+    positive.  This is the remainder table's kernel, and the decade
+    means' at orders 4 to 64; at orders 1 to 3 they take _window_sum's
+    unrolled bodies, which make these float operations in this order.
     """
     sqrt = math.sqrt
     first, rest = coeffs[0], coeffs[1:]
@@ -374,6 +377,68 @@ def _scaled_sum(
             remainder = u - tail
             total += remainder / sqrt(root)
     return total, tail, remainder
+
+
+def _window_sum(summed: str, coeffs: tuple[float, ...], ns: range, exact: int, step: int, total: float) -> float:
+    """total plus the scaled remainder at each index of ns, one window of constant u, in turn.
+
+    `exact` is the window's u for the u-series ("u"); for the a-series
+    ("a") it is e_n = 2 a_n - n^2 at the first index, which steps by
+    `step` = 2k - 1.  Orders 1 to 3 take an unrolled body: the rungs
+    r1 = sqrt(n/2), r2 = sqrt(r1), r3 = sqrt(r2), the tail
+    c1*r1 + c2*r2 + c3*r3 summed left to right (each product times n/2
+    for a), and one more root to scale.  These are _scaled_sum's float
+    operations in its order, so each scaled remainder, and the total, is
+    the same float; the body only spares its zip and inner loop on every
+    index.  Deeper orders go to _scaled_sum.
+    """
+    order = len(coeffs)
+    if order > 3:
+        exacts = range(exact, exact + step * len(ns), step) if summed == "a" else repeat(exact, len(ns))
+        return _scaled_sum(summed, coeffs, ns, exacts, total)[0]
+    sqrt = math.sqrt
+    c1, c2, c3 = coeffs + (0.0,) * (3 - order)
+    if summed == "u":
+        u = exact
+        if order == 1:
+            for n in ns:
+                r1 = sqrt(n / 2)
+                total += (u - c1 * r1) / sqrt(r1)
+        elif order == 2:
+            for n in ns:
+                r1 = sqrt(n / 2)
+                r2 = sqrt(r1)
+                total += (u - (c1 * r1 + c2 * r2)) / sqrt(r2)
+        else:
+            for n in ns:
+                r1 = sqrt(n / 2)
+                r2 = sqrt(r1)
+                r3 = sqrt(r2)
+                total += (u - (c1 * r1 + c2 * r2 + c3 * r3)) / sqrt(r3)
+        return total
+    e = exact
+    if order == 1:
+        for n in ns:
+            half = n / 2
+            r1 = sqrt(half)
+            total += (e / 2 - c1 * r1 * half) / (half * sqrt(r1))
+            e += step
+    elif order == 2:
+        for n in ns:
+            half = n / 2
+            r1 = sqrt(half)
+            r2 = sqrt(r1)
+            total += (e / 2 - (c1 * r1 * half + c2 * r2 * half)) / (half * sqrt(r2))
+            e += step
+    else:
+        for n in ns:
+            half = n / 2
+            r1 = sqrt(half)
+            r2 = sqrt(r1)
+            r3 = sqrt(r2)
+            total += (e / 2 - (c1 * r1 * half + c2 * r2 * half + c3 * r3 * half)) / (half * sqrt(r3))
+            e += step
+    return total
 
 
 def _check_ns(ns: Iterable[int]) -> list[int]:
@@ -434,10 +499,13 @@ def decade_remainder_means(
     Each decade is one walk of the windows of constant u, started by
     jump-ahead at 10^d (about (8 10^d)^(1/4) steps against its 9 10^d
     indices), with its last window cut at 10^(d+1).  A window's exact
-    values come as ranges, u = k throughout and e_n = 2 a_n - n^2 stepping
-    by 2k - 1, with no per-index big-integer product, and its scaled
-    remainders go to the decade's running sum in a flat loop; so the
-    working memory stays a few windows' worth, whatever the span.  Each
+    values come in closed form, u = k throughout and e_n = 2 a_n - n^2
+    stepping by 2k - 1, with no per-index big-integer product, and its
+    scaled remainders go to the decade's running sum: by an unrolled body
+    at orders 1 to 3, the orders of the paper's remainder analysis, and by
+    _scaled_sum's loop deeper.  Both make the evaluators' float operations
+    in their order, so each scaled value is the same float either way.
+    The working memory stays a few windows' worth, whatever the span.  Each
     decade's scaled values are added one at a time, left to right in index
     order, not by sum(), which compensates from Python 3.12 on; so every
     mean equals, bit for bit, the one a walk index by index gives.
@@ -455,12 +523,8 @@ def decade_remainder_means(
         total = 0.0
         for n, a, first, end, k in _runs(lo):
             width = min(end - first, hi - n)
-            if summed == "a":
-                e, step = 2 * a - n * n, 2 * k - 1
-                exact = range(e, e + step * width, step)
-            else:
-                exact = repeat(k, width)
-            total = _scaled_sum(summed, coeffs, range(n, n + width), exact, total)[0]
+            exact, step = (2 * a - n * n, 2 * k - 1) if summed == "a" else (k, 0)
+            total = _window_sum(summed, coeffs, range(n, n + width), exact, step, total)
             if n + width == hi:
                 break
         means.append((decade, total / (hi - lo)))

@@ -5,7 +5,7 @@ import pickle
 import tracemalloc
 from collections import deque
 from functools import lru_cache, reduce
-from itertools import islice, takewhile
+from itertools import islice, product, takewhile
 from operator import add
 
 import pytest
@@ -314,7 +314,7 @@ def reference_decade_means(seq, order, first_decade, last_decade):
 
 
 @pytest.mark.parametrize("seq", ["a", "b", "u"])
-@pytest.mark.parametrize("order", [1, 2, 3, 7, 20, 63, 64])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 20, 63, 64])
 def test_decade_means_match_the_row_at_a_time_reference(seq, order):
     for span in ((0, 0), (0, 3), (2, 3)):
         assert decade_remainder_means(seq, order, *span) == reference_decade_means(seq, order, *span)
@@ -344,7 +344,7 @@ def test_decade_means_cut_windows_at_decade_edges(seq, span):
 
 
 @pytest.mark.parametrize("seq", ["a", "b", "u"])
-@pytest.mark.parametrize("order", [1, 2, 3, 64])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 64])
 def test_decade_means_match_the_oracle(seq, order):
     # Exact terms from the brute-force oracle, series from the two-ladder
     # arithmetic, each decade summed left to right.
@@ -363,17 +363,36 @@ def test_decade_means_match_the_oracle(seq, order):
 
 def test_decade_means_work_in_bounded_memory():
     # One window of constant u, a few hundred indices here, is fed to the
-    # kernel at a time as ranges, and each decade's walk holds only its
-    # lags, so the peak does not grow with the 10^5 indices walked.
-    for seq in ("a", "u"):
-        decade_remainder_means(seq, 3, 0, 0)  # build the cached coefficients first
+    # kernel at a time, and each decade's walk holds only its lags, so the
+    # peak does not grow with the 10^5 indices walked: at order 3, by an
+    # unrolled body, and at order 4, by the loop over ranges.
+    for seq, order in product("au", (3, 4)):
+        decade_remainder_means(seq, order, 0, 0)  # build the cached coefficients first
         tracemalloc.start()
         try:
-            decade_remainder_means(seq, 3, 1, 4)
+            decade_remainder_means(seq, order, 1, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 1024, seq
+        assert peak < 64 * 1024, (seq, order)
+
+
+def test_decade_means_take_the_unrolled_bodies_at_orders_1_to_3(monkeypatch):
+    # With the looped kernel out of reach, orders 1-3 still give the
+    # reference's means, so the exact-equality tests above hold the
+    # unrolled bodies; order 4 reaches the loop.
+    class Looped(Exception):
+        pass
+
+    def looped(*args):
+        raise Looped
+
+    monkeypatch.setattr(checks, "_scaled_sum", looped)
+    for seq in "abu":
+        for order in (1, 2, 3):
+            assert decade_remainder_means(seq, order, 0, 3) == reference_decade_means(seq, order, 0, 3)
+        with pytest.raises(Looped):
+            decade_remainder_means(seq, 4, 0, 3)
 
 
 def test_remainder_table_reaches_far_indices():
