@@ -9,13 +9,14 @@ OEIS b-file round-tripping.
 Importing the package loads none of its modules.  Each public name is
 imported from its home module (listed in _HOMES) on first access and
 then kept here, so a caller pays only for the modules it uses:
-`eval_u_series` loads `figfig.series` alone, without `fractions`, and
+`eval_u_series` loads `figfig.series` alone, without `fractions`;
 `check_all` loads the stream and the checks, but neither the series nor
-any b-file code.  No module of the package imports `typing` or
-`__future__`, so a fresh interpreter that compiles the package from
-source pays for neither (README, "Start-up").  `_int_arg` checks every
-integer argument of the public entry points; it lives here because every
-module loads the package first.
+any b-file code; and `remainder_table` loads the stream, the series and
+the remainder tools, but not the checks.  No module of the package
+imports `typing` or `__future__`, so a fresh interpreter that compiles
+the package from source pays for neither (README, "Start-up").
+`_int_arg` checks every integer argument of the public entry points; it
+lives here because every module loads the package first.
 """
 
 from operator import index as _index
@@ -27,20 +28,9 @@ _HOMES = {
     name: module
     for module, names in (
         ("bfile", ("BFileFormatError", "BFileRecord", "BFileRecords", "compare_reference", "parse_bfile", "write_bfile")),
-        (
-            "checks",
-            (
-                "CheckReport",
-                "RemainderRow",
-                "check_all",
-                "check_bounds",
-                "check_identities",
-                "check_partition",
-                "decade_remainder_means",
-                "remainder_table",
-            ),
-        ),
+        ("checks", ("CheckReport", "check_all", "check_bounds", "check_identities", "check_partition")),
         ("cli", ("main", "run_cli")),
+        ("remainders", ("RemainderRow", "decade_remainder_means", "remainder_table")),
         ("series", ("MAX_ORDER", "a_coeff", "eval_a_series", "eval_b_series", "eval_u_series", "root_pow", "u_coeff")),
         ("stream", ("SEQUENCE_IDS", "Triple", "TripleStream", "value_at")),
     )

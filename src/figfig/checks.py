@@ -1,4 +1,4 @@
-"""Streamed verification of the sequence laws, plus remainder diagnostics.
+"""Streamed verification of the sequence laws.
 
 The law checks share one driver that walks the stream once, a window of
 constant u at a time, and hands each window to every selected check
@@ -11,43 +11,18 @@ index and detail as an index-by-index walk would.  A check stops at its
 first violation and reports it instead of raising; a passing report
 covers the whole requested range.  The bound checks compare in exact
 integer arithmetic (squared rearrangements of the square-root bounds) so
-they cannot be fooled by rounding at any index.  Reports and remainder
-rows are named tuples, so loading this module imports no `dataclasses`.
-
-The remainder table measures how fast the truncated series approaches
-the exact values.  The remainder is divided by the next rung of the
-power ladder, the term a one-order-deeper truncation would add; on that
-scale it settles near the next coefficient.  Where it should settle, and
-how tightly, is a convention of this package's test suite rather than a
-proved enclosure.  Both remainder tools climb the ladder index by index
-with the same float operations, in the same order, as the series
-evaluators take, and add each scaled remainder to a running float: the
-table by one kernel that climbs in a flat loop, the decade means one
-window of constant u at a time, by an unrolled body at orders 1 to 3 and
-by that loop deeper.  So the decade means' working memory stays a few
-windows' worth however many decades they span; each decade's scaled
-values are added left to right, one at a time, so the means are the
-same floats an index-by-index walk gives.
+they cannot be fooled by rounding at any index.  Reports are named
+tuples, so loading this module imports no `dataclasses`.
 """
 
-import math
 from collections import deque, namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import repeat, takewhile
+from itertools import takewhile
 
 from . import _int_arg
-from .stream import CHECK_NAMES, SEQUENCE_IDS, _a_values, _check_seq, _columns, _heads, _runs
+from .stream import CHECK_NAMES, _a_values, _columns, _heads, _runs
 
-__all__ = [
-    "CheckReport",
-    "RemainderRow",
-    "check_all",
-    "check_bounds",
-    "check_identities",
-    "check_partition",
-    "decade_remainder_means",
-    "remainder_table",
-]
+__all__ = ["CheckReport", "check_all", "check_bounds", "check_identities", "check_partition"]
 
 
 class CheckReport(namedtuple("_CheckReportFields", "name lo hi passed first_failure", defaults=(None,))):
@@ -64,10 +39,6 @@ class CheckReport(namedtuple("_CheckReportFields", "name lo hi passed first_fail
     @classmethod
     def _make(cls, iterable: Iterable) -> "CheckReport":  # the base's skips __new__; _replace calls it
         return cls(*iterable)
-
-
-RemainderRow = namedtuple("RemainderRow", "n order exact series remainder scaled")
-RemainderRow.__doc__ = "Exact value, truncated series, and scaled remainder at one index."
 
 
 def sqrt_window_bound_holds(n: int, value: int) -> bool:
@@ -331,201 +302,3 @@ def check_all(upto: int) -> tuple[CheckReport, CheckReport, CheckReport]:
     Equal to calling the three checks one by one; upto must be >= 2.
     """
     return _run_checks(upto, CHECK_NAMES)
-
-
-def _scaled_sum(
-    summed: str, coeffs: tuple[float, ...], ns: Iterable[int], exact: Iterable[int], total: float = 0.0
-) -> tuple[float, float, float]:
-    """(total plus the scaled remainder at each index of ns, in turn; the last index's tail and remainder).
-
-    ns is non-empty.  `exact` holds u_n at each n for the u-series ("u"),
-    and e_n = 2 a_n - n^2 for the a-series tail ("a"); `coeffs` is the
-    family's first `order` float coefficients.  The b remainder is the u
-    remainder, since b and its series both exceed u and its series by
-    exactly n.  For a, the n^2/2 head is subtracted in integers (inside
-    e_n) before any float enters, to dodge cancellation.  Each index
-    climbs the ladder in a flat loop by the float operations of
-    eval_u_series and eval_a_series, so its tail equals theirs bit for
-    bit; one more square root of its last rung (n/2)^(1/2^order) gives the
-    next rung, which scales the remainder.  The first rung is taken out of
-    the loop: the evaluators add its term to 0.0, and 0.0 + x is x for
-    every double but -0.0, which that term never is, since n >= 1 makes
-    the root positive and the first coefficient of each family is
-    positive.  This is the remainder table's kernel, and the decade
-    means' at orders 4 to 64; at orders 1 to 3 they take _window_sum's
-    unrolled bodies, which make these float operations in this order.
-    """
-    sqrt = math.sqrt
-    first, rest = coeffs[0], coeffs[1:]
-    if summed == "a":
-        for n, e in zip(ns, exact):
-            half = n / 2
-            root = sqrt(half)
-            tail = first * root * half
-            for coeff in rest:
-                root = sqrt(root)
-                tail += coeff * root * half
-            remainder = e / 2 - tail
-            total += remainder / (half * sqrt(root))
-    else:
-        for n, u in zip(ns, exact):
-            root = sqrt(n / 2)
-            tail = first * root
-            for coeff in rest:
-                root = sqrt(root)
-                tail += coeff * root
-            remainder = u - tail
-            total += remainder / sqrt(root)
-    return total, tail, remainder
-
-
-def _window_sum(summed: str, coeffs: tuple[float, ...], ns: range, exact: int, step: int, total: float) -> float:
-    """total plus the scaled remainder at each index of ns, one window of constant u, in turn.
-
-    `exact` is the window's u for the u-series ("u"); for the a-series
-    ("a") it is e_n = 2 a_n - n^2 at the first index, which steps by
-    `step` = 2k - 1.  Orders 1 to 3 take an unrolled body: the rungs
-    r1 = sqrt(n/2), r2 = sqrt(r1), r3 = sqrt(r2), the tail
-    c1*r1 + c2*r2 + c3*r3 summed left to right (each product times n/2
-    for a), and one more root to scale.  These are _scaled_sum's float
-    operations in its order, so each scaled remainder, and the total, is
-    the same float; the body only spares its zip and inner loop on every
-    index.  Deeper orders go to _scaled_sum.
-    """
-    order = len(coeffs)
-    if order > 3:
-        exacts = range(exact, exact + step * len(ns), step) if summed == "a" else repeat(exact, len(ns))
-        return _scaled_sum(summed, coeffs, ns, exacts, total)[0]
-    sqrt = math.sqrt
-    c1, c2, c3 = coeffs + (0.0,) * (3 - order)
-    if summed == "u":
-        u = exact
-        if order == 1:
-            for n in ns:
-                r1 = sqrt(n / 2)
-                total += (u - c1 * r1) / sqrt(r1)
-        elif order == 2:
-            for n in ns:
-                r1 = sqrt(n / 2)
-                r2 = sqrt(r1)
-                total += (u - (c1 * r1 + c2 * r2)) / sqrt(r2)
-        else:
-            for n in ns:
-                r1 = sqrt(n / 2)
-                r2 = sqrt(r1)
-                r3 = sqrt(r2)
-                total += (u - (c1 * r1 + c2 * r2 + c3 * r3)) / sqrt(r3)
-        return total
-    e = exact
-    if order == 1:
-        for n in ns:
-            half = n / 2
-            r1 = sqrt(half)
-            total += (e / 2 - c1 * r1 * half) / (half * sqrt(r1))
-            e += step
-    elif order == 2:
-        for n in ns:
-            half = n / 2
-            r1 = sqrt(half)
-            r2 = sqrt(r1)
-            total += (e / 2 - (c1 * r1 * half + c2 * r2 * half)) / (half * sqrt(r2))
-            e += step
-    else:
-        for n in ns:
-            half = n / 2
-            r1 = sqrt(half)
-            r2 = sqrt(r1)
-            r3 = sqrt(r2)
-            total += (e / 2 - (c1 * r1 * half + c2 * r2 * half + c3 * r3 * half)) / (half * sqrt(r3))
-            e += step
-    return total
-
-
-def _check_ns(ns: Iterable[int]) -> list[int]:
-    """ns as a list of ints; ValueError unless it is a non-empty, strictly increasing run of indices >= 1."""
-    lo = 0  # each index must pass the one before it
-    try:
-        ns = [lo := _int_arg(n, "ns", lo + 1) for n in ns]
-    except ValueError:
-        raise ValueError("ns must be strictly increasing positive integers") from None
-    if not ns:
-        raise ValueError("ns must be non-empty")
-    return ns
-
-
-def _check_decades(lo: int, hi: int) -> tuple[int, int]:
-    """(lo, hi) as ints; ValueError unless 0 <= lo <= hi, a span of decades [10^lo, 10^(hi+1))."""
-    try:
-        return (lo := _int_arg(lo, "first decade", 0)), _int_arg(hi, "last decade", lo)
-    except ValueError:
-        raise ValueError("need 0 <= first decade <= last decade") from None
-
-
-# Each series is its _scaled_sum tail plus this head (0 + tail is tail: the u tail is positive).
-_SERIES_HEADS = {"a": lambda n: n * n / 2, "b": lambda n: n, "u": lambda n: 0}
-
-
-def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
-    """RemainderRow for each requested index, all read off one walk of the stream.
-
-    ns must be non-empty and strictly increasing ints (operator.index);
-    order is the truncation depth whose next rung scales the remainder.  The walk starts by
-    O(n^(1/4)) jump-ahead at the first index and goes on window by window
-    to the last, through the u_last - u_first windows between them.
-    Each row's series is summed on its own, by one flat climb of the ladder.
-    """
-    from .series import _PREFIXES, _check_order
-
-    _check_seq(seq)
-    order = _check_order(order)
-    ns = _check_ns(ns)
-    summed = "a" if seq == "a" else "u"
-    coeffs = _PREFIXES[summed][order]
-    position, head = SEQUENCE_IDS.index(seq), _SERIES_HEADS[seq]
-    rows = []
-    for n, values in zip(ns, _heads(ns)):
-        a, _, u = values
-        scaled, tail, remainder = _scaled_sum(summed, coeffs, (n,), (2 * a - n * n if seq == "a" else u,))
-        rows.append(RemainderRow(n, order, values[position], head(n) + tail, remainder, scaled))
-    return rows
-
-
-def decade_remainder_means(
-    seq: str, order: int, first_decade: int, last_decade: int
-) -> list[tuple[int, float]]:
-    """Mean scaled remainder over each decade [10^d, 10^(d+1)).
-
-    The means drift toward the next coefficient as the decades climb.
-    Each decade is one walk of the windows of constant u, started by
-    jump-ahead at 10^d (about (8 10^d)^(1/4) steps against its 9 10^d
-    indices), with its last window cut at 10^(d+1).  A window's exact
-    values come in closed form, u = k throughout and e_n = 2 a_n - n^2
-    stepping by 2k - 1, with no per-index big-integer product, and its
-    scaled remainders go to the decade's running sum: by an unrolled body
-    at orders 1 to 3, the orders of the paper's remainder analysis, and by
-    _scaled_sum's loop deeper.  Both make the evaluators' float operations
-    in their order, so each scaled value is the same float either way.
-    The working memory stays a few windows' worth, whatever the span.  Each
-    decade's scaled values are added one at a time, left to right in index
-    order, not by sum(), which compensates from Python 3.12 on; so every
-    mean equals, bit for bit, the one a walk index by index gives.
-    """
-    from .series import _PREFIXES, _check_order
-
-    _check_seq(seq)
-    order = _check_order(order)
-    first_decade, last_decade = _check_decades(first_decade, last_decade)
-    summed = "a" if seq == "a" else "u"
-    coeffs = _PREFIXES[summed][order]
-    means = []
-    for decade in range(first_decade, last_decade + 1):
-        lo, hi = 10**decade, 10 ** (decade + 1)
-        total = 0.0
-        for n, a, first, end, k in _runs(lo):
-            width = min(end - first, hi - n)
-            exact, step = (2 * a - n * n, 2 * k - 1) if summed == "a" else (k, 0)
-            total = _window_sum(summed, coeffs, range(n, n + width), exact, step, total)
-            if n + width == hi:
-                break
-        means.append((decade, total / (hi - lo)))
-    return means

@@ -15,9 +15,10 @@ per string: its n column from the cached thousand-line template of
 stream._numbered, its window's u by one str.replace, and the a and b
 columns by one `%` call.  Each subcommand imports what it alone uses,
 when it runs: `gen` only the stream; `verify` the law checks; `remainder`
-the checks and the series; `approx` the series; `coeffs` the series and
-`fractions`; `compare` the b-file reader, which brings the checks.  Only `remainder --format jsonl`
-imports `json`, and none imports `dataclasses`.
+the remainder tools and the series; `approx` the series; `coeffs` the
+series and `fractions`; `compare` the b-file reader, which brings the
+checks for its report type.  Only `remainder --format jsonl` imports
+`json`, and none imports `dataclasses`.
 """
 
 import argparse
@@ -87,7 +88,7 @@ def _order_arg(text: str) -> int:
 
 
 def _ns_arg(text: str) -> list[int]:
-    from .checks import _check_ns
+    from .remainders import _check_ns
 
     try:
         values = [int(part) for part in text.split(",")]
@@ -97,7 +98,7 @@ def _ns_arg(text: str) -> list[int]:
 
 
 def _decades_arg(text: str) -> tuple[int, int]:
-    from .checks import _check_decades
+    from .remainders import _check_decades
 
     try:
         lo, hi = map(int, text.split(":"))
@@ -214,7 +215,7 @@ def _cmd_approx(args: argparse.Namespace) -> int:
 
 
 def _cmd_remainder(args: argparse.Namespace) -> int:
-    from .checks import RemainderRow, remainder_table
+    from .remainders import RemainderRow, remainder_table
 
     ns = args.ns if args.ns else [10**d for d in range(args.decades[0], args.decades[1] + 1)]
     rows = remainder_table(args.seq, args.order, ns)

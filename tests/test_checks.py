@@ -26,7 +26,7 @@ from figfig import (
     u_coeff,
     value_at,
 )
-from figfig import checks
+from figfig import checks, remainders
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
 from figfig.stream import Triple, _a_values, _rows, _runs
 from oracle import oracle_triples
@@ -387,7 +387,7 @@ def test_decade_means_take_the_unrolled_bodies_at_orders_1_to_3(monkeypatch):
     def looped(*args):
         raise Looped
 
-    monkeypatch.setattr(checks, "_scaled_sum", looped)
+    monkeypatch.setattr(remainders, "_scaled_sum", looped)
     for seq in "abu":
         for order in (1, 2, 3):
             assert decade_remainder_means(seq, order, 0, 3) == reference_decade_means(seq, order, 0, 3)
@@ -414,7 +414,7 @@ def jump_heads(ns):
 
 
 def assert_one_walk_matches_jumps(ns):
-    assert checks._heads(ns) == jump_heads(ns)
+    assert remainders._heads(ns) == jump_heads(ns)
     for seq in "abu":
         assert remainder_table(seq, 2, ns) == [remainder_table(seq, 2, [n])[0] for n in ns]
 

@@ -19,6 +19,7 @@ CLI_RUN = "from figfig.cli import run_cli\nstatus = run_cli(sys.argv[1:])\nasser
 LIBRARY_CALLS = [
     ("figfig.eval_u_series(2, 64)\nfigfig.eval_a_series(2, 64)", {"figfig.series"}),
     ("figfig.check_all(100)", {"figfig.checks", "figfig.stream"}),
+    ('figfig.decade_remainder_means("u", 1, 1, 2)', {"figfig.remainders", "figfig.stream", "figfig.series"}),
 ]
 
 COMMANDS = [
@@ -26,7 +27,7 @@ COMMANDS = [
     (("verify", "--check", "all", "--upto", "100"), {"stream", "checks"}),
     (("approx", "--seq", "a", "--order", "3", "--n", "1000"), {"stream", "series"}),
     (("compare", "--seq", "a", "--bfile", str(BFILE)), {"stream", "checks", "bfile"}),
-    (("remainder", "--seq", "u", "--order", "1", "--ns", "10,100"), {"stream", "checks", "series"}),
+    (("remainder", "--seq", "u", "--order", "1", "--ns", "10,100"), {"stream", "remainders", "series"}),
 ]
 
 
@@ -74,7 +75,8 @@ def test_library_calls_load_only_their_modules(call, modules):
 @pytest.mark.parametrize("argv, modules", COMMANDS)
 def test_commands_load_only_their_modules(argv, modules):
     # None of them loads dataclasses, fractions, decimal or json; only
-    # compare loads the b-file code, and gen does not load the checks.
+    # compare loads the b-file code, gen does not load the checks, and
+    # only remainder loads the remainder tools.
     loaded = loaded_by_cli(*argv)
     assert {name for name in loaded if name.startswith("figfig.")} == {"figfig.cli"} | {
         f"figfig.{module}" for module in modules
@@ -115,6 +117,14 @@ def test_every_public_name_is_the_object_of_its_home_module():
     for module in set(figfig._HOMES.values()):
         names = sorted(name for name, home in figfig._HOMES.items() if home == module)
         assert sorted(importlib.import_module(f"figfig.{module}").__all__) == names, module
+
+
+def test_checks_module_holds_no_remainder_tools():
+    # The remainder tools live in figfig.remainders alone; the checks
+    # module keeps no second path to them.
+    import figfig.checks
+
+    assert not hasattr(figfig.checks, "remainder_table")
 
 
 def test_dir_lists_every_public_name():
