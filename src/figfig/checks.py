@@ -125,7 +125,7 @@ class _Identities:
         """(a_u - u, a_{u+1} - (u + 1)), or None for u < 1.
 
         The lag steps a window as u does; any other u, which only a faulty
-        row carries (and fails here), gets its bounds by a jump to index u.
+        row carries (and fails here), gets its bounds by jumps to u and u + 1.
         """
         if u < 1:
             return None

@@ -205,9 +205,9 @@ def _cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_approx(args: argparse.Namespace) -> int:
-    from .series import eval_a_series, eval_b_series, eval_u_series
+    from .series import _EVALUATORS
 
-    evaluate = dict(zip(SEQUENCE_IDS, (eval_a_series, eval_b_series, eval_u_series)))[args.seq]
+    evaluate = _EVALUATORS[args.seq]
     lines = ["n,series\n"]
     lines += [f"{n},{_real(evaluate(n, args.order))}\n" for n in args.n]
     _emit(lines, args.out)

@@ -23,7 +23,7 @@ from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 from . import _int_arg
-from .series import _PREFIXES, _check_order
+from .series import _EVALUATORS, _PREFIXES, _check_order
 from .stream import SEQUENCE_IDS, _check_seq, _heads, _runs
 
 __all__ = ["RemainderRow", "decade_remainder_means", "remainder_table"]
@@ -166,17 +166,21 @@ _SERIES_HEADS = {"a": lambda n: n * n / 2, "b": lambda n: n, "u": lambda n: 0}
 
 
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
-    """RemainderRow for each requested index, all read off one walk of the stream.
+    """RemainderRow for each requested index, each read off its own jump into the stream.
 
     ns must be non-empty and strictly increasing ints (operator.index);
-    order is the truncation depth whose next rung scales the remainder.  The walk starts by
-    O(n^(1/4)) jump-ahead at the first index and goes on window by window
-    to the last, through the u_last - u_first windows between them.
+    order is the truncation depth whose next rung scales the remainder.
+    Each index is read by its own O(n^(1/4)) jump-ahead, however far
+    apart the indices are; an index past the range of the series
+    evaluator raises its ValueError.
     Each row's series is summed on its own, by one flat climb of the ladder.
     """
     _check_seq(seq)
     order = _check_order(order)
     ns = _check_ns(ns)
+    # Past the float range the evaluator raises its ValueError at once,
+    # where the jump there would run for ever.
+    _EVALUATORS[seq](ns[-1], order)
     summed = "a" if seq == "a" else "u"
     coeffs = _PREFIXES[summed][order]
     position, head = SEQUENCE_IDS.index(seq), _SERIES_HEADS[seq]
@@ -206,11 +210,13 @@ def decade_remainder_means(
     The working memory stays a few windows' worth, whatever the span.  Each
     decade's scaled values are added one at a time, left to right in index
     order, not by sum(), which compensates from Python 3.12 on; so every
-    mean equals, bit for bit, the one a walk index by index gives.
+    mean equals, bit for bit, the one a walk index by index gives.  A last
+    decade past the range of the series evaluator raises its ValueError.
     """
     _check_seq(seq)
     order = _check_order(order)
     first_decade, last_decade = _check_decades(first_decade, last_decade)
+    _EVALUATORS[seq](10 ** (last_decade + 1) - 1, order)  # as in remainder_table
     summed = "a" if seq == "a" else "u"
     coeffs = _PREFIXES[summed][order]
     means = []

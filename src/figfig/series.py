@@ -172,3 +172,7 @@ def eval_a_series(n: int, order: int) -> float:
         root = sqrt(root)
         tail += coeff * root * half  # power 1 + 1/2^k split: no intermediate exceeds n
     return head + tail
+
+
+# The evaluator of each sequence id, for the command line and the remainder tools.
+_EVALUATORS = {"a": eval_a_series, "b": eval_b_series, "u": eval_u_series}

@@ -37,9 +37,9 @@ the decade means read the windows themselves.  `_columns` gives one
 window's n, a, b and u columns as C-level iterables, which the law
 checks and `figfig gen` read; `_column(seq, start)` chains one of them
 across the windows from `start`, which the b-file compare reads;
-`_heads` reads the values at a few sparse indices, for value_at and the
-remainder table; and `_rows` zips each window's columns into `Triple`
-rows for TripleStream.
+`_heads` reads the values at a few sparse indices, one jump each, for
+value_at and the remainder table; and `_rows` zips each window's
+columns into `Triple` rows for TripleStream.
 
 The index column, which counts up by 1, is written as text by
 `_numbered`, for `figfig gen` and for the b-file reader's check and its
@@ -166,22 +166,12 @@ def _column(seq: str, start: int) -> Iterator[int]:
 
 
 def _heads(ns: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(a_n, b_n, u_n) at each index of ns (strictly increasing, >= 1).
+    """(a_n, b_n, u_n) at each index of ns (each >= 1), each by its own O(n^(1/4)) jump.
 
-    One walk of the windows of constant u, started by the O(n^(1/4))
-    jump of _locate at ns[0]: the window (m, a, first, hi, k) holding n
-    gives, with d = n - m, b_n = first + d, u_n = k and
-    a_n = a + d first + d (d - 1) / 2.
+    The first window of _runs(n) starts at n, so its a and first are
+    a_n and b_n, and its k is u_n.
     """
-    windows = _runs(ns[0])
-    m, a, first, hi, k = next(windows)
-    heads = []
-    for n in ns:
-        while n - m >= hi - first:
-            m, a, first, hi, k = next(windows)
-        d = n - m
-        heads.append((a + d * first + d * (d - 1) // 2, first + d, k))
-    return heads
+    return [(a, first, k) for _, a, first, _, k in map(next, map(_runs, ns))]
 
 
 def _rows(start: int) -> Iterator[Triple]:

@@ -26,7 +26,7 @@ from figfig import (
     u_coeff,
     value_at,
 )
-from figfig import checks, remainders
+from figfig import checks, remainders, stream
 from figfig.checks import a_upper_bound_holds, sqrt_window_bound_holds
 from figfig.stream import Triple, _a_values, _rows, _runs
 from oracle import oracle_triples
@@ -235,6 +235,37 @@ def test_decade_means_validations():
             decade_remainder_means("u", 1, *decades)
 
 
+def forbid_jumps(monkeypatch):
+    """Make every jump into the stream fail the test at once: past the
+    float range a jump runs for ever."""
+
+    def jump(start):
+        raise AssertionError(f"jumped to {start}")
+
+    monkeypatch.setattr(stream, "_runs", jump)
+    monkeypatch.setattr(remainders, "_runs", jump)
+
+
+# (seq, the least power of ten past its series' float range): n/2 for u,
+# n for b, n^2/2 for a.
+PAST_THE_FLOAT_RANGE = [("u", 309), ("b", 309), ("a", 155)]
+
+
+@pytest.mark.parametrize("seq, power", PAST_THE_FLOAT_RANGE)
+def test_indices_past_the_float_range_raise_before_any_jump(monkeypatch, seq, power):
+    forbid_jumps(monkeypatch)
+    too_large = r"^index too large for double-precision series: "
+    with pytest.raises(ValueError, match=too_large):
+        remainder_table(seq, 1, [10, 10**power])
+    with pytest.raises(ValueError, match=too_large):
+        decade_remainder_means(seq, 2, 1, power - 1)  # its last index is 10**power - 1
+    # One power of ten lower, both tools get as far as the jump.
+    with pytest.raises(AssertionError, match="jumped"):
+        remainder_table(seq, 1, [10 ** (power - 1)])
+    with pytest.raises(AssertionError, match="jumped"):
+        decade_remainder_means(seq, 2, power - 2, power - 2)
+
+
 def _two_ladder_row(seq, order, n, value=value_at):
     """The remainder row as computed with a separate ladder for the next
     rung: the series sum climbs `order` square roots from n/2, then the
@@ -403,9 +434,8 @@ def test_remainder_table_reaches_far_indices():
 
 
 def jump_heads(ns):
-    """(a_n, b_n, u_n) at each n, each by its own jump from index 1: the
-    per-index path that the one walk of remainder_table replaced, kept as
-    the reference."""
+    """(a_n, b_n, u_n) at each n, each by its own jump, written out here
+    as the reference that remainders._heads must match."""
     heads = []
     for n in ns:
         _, a, first, _, k = next(_runs(n))

@@ -407,6 +407,20 @@ def test_approx_past_the_double_range_is_an_input_error(capsys, seq, n):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("points", [("--ns", "1" + "0" * 160), ("--decades", "1:309")])
+def test_remainder_past_the_double_range_is_an_input_error(capsys, monkeypatch, points):
+    # Checked before any jump, which there would run for ever.
+    def jump(start):
+        raise AssertionError(f"jumped to {start}")
+
+    monkeypatch.setattr(stream, "_runs", jump)
+    seq = "a" if points[0] == "--ns" else "u"
+    code, out, err = run(capsys, "remainder", "--seq", seq, "--order", "1", *points)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: index too large for double-precision series: ")
+    assert err.count("\n") == 1
+
+
 def test_remainder_named_points(capsys):
     code, out, err = run(capsys, "remainder", "--seq", "u", "--order", "1", "--ns", "2,8")
     assert code == 0

@@ -303,6 +303,16 @@ def test_jump_reads_about_a_fourth_root_of_its_index(monkeypatch):
     assert reads[-1] == (value_at("u", 10**12) + 2, [])  # the walk's own lag, unread
 
 
+def test_far_apart_indices_cost_a_jump_each(monkeypatch):
+    # A walk of the windows from 10 to 10**12 read about 1.4e6 a-values;
+    # two jumps read a few thousand.
+    reads = lag_reads(monkeypatch)
+    rows = remainder_table("u", 1, [10, 10**12])
+    assert sum(len(values) for _, values in reads) <= 4 * 10**3
+    assert [row.exact for row in rows] == [4, value_at("u", 10**12)]
+    assert remainder_table("a", 1, [10, 10**15])[1].exact == A_AT_1E15
+
+
 def reference_locate(start):
     """(k, a_k, a_{k+1}, s) by the walk that _locate replaced, kept as the
     reference: one window of constant u at a time, its bounds read from
