@@ -28,11 +28,11 @@ _HOMES = {
     name: module
     for module, names in (
         ("bfile", ("BFileFormatError", "BFileRecord", "BFileRecords", "compare_reference", "parse_bfile", "write_bfile")),
-        ("checks", ("CheckReport", "check_all", "check_bounds", "check_identities", "check_partition")),
+        ("checks", ("check_all", "check_bounds", "check_identities", "check_partition")),
         ("cli", ("main", "run_cli")),
         ("remainders", ("RemainderRow", "decade_remainder_means", "remainder_table")),
         ("series", ("MAX_ORDER", "a_coeff", "eval_a_series", "eval_b_series", "eval_u_series", "root_pow", "u_coeff")),
-        ("stream", ("SEQUENCE_IDS", "Triple", "TripleStream", "value_at")),
+        ("stream", ("CheckReport", "SEQUENCE_IDS", "Triple", "TripleStream", "value_at")),
     )
     for name in names
 }

@@ -41,8 +41,7 @@ from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from itertools import count, islice, repeat
 from operator import eq, index, itemgetter
 
-from .checks import CheckReport
-from .stream import _check_seq, _column, _numbered
+from .stream import CheckReport, _check_seq, _column, _numbered
 
 __all__ = [
     "BFileFormatError",

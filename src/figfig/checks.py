@@ -11,34 +11,19 @@ index and detail as an index-by-index walk would.  A check stops at its
 first violation and reports it instead of raising; a passing report
 covers the whole requested range.  The bound checks compare in exact
 integer arithmetic (squared rearrangements of the square-root bounds) so
-they cannot be fooled by rounding at any index.  Reports are named
-tuples, so loading this module imports no `dataclasses`.
+they cannot be fooled by rounding at any index.  Reports are the named
+tuples of `stream.CheckReport`, which the b-file compare returns too, so
+loading this module imports no `dataclasses`.
 """
 
-from collections import deque, namedtuple
-from collections.abc import Iterable, Sequence
+from collections import deque
+from collections.abc import Sequence
 from itertools import takewhile
 
 from . import _int_arg
-from .stream import CHECK_NAMES, _a_values, _columns, _heads, _runs
+from .stream import CHECK_NAMES, CheckReport, _a_values, _columns, _heads, _runs
 
-__all__ = ["CheckReport", "check_all", "check_bounds", "check_identities", "check_partition"]
-
-
-class CheckReport(namedtuple("_CheckReportFields", "name lo hi passed first_failure", defaults=(None,))):
-    """Outcome of one streamed verification over indices [lo, hi]; any way of
-    building one with passed != (first_failure is None) raises ValueError."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, lo: int, hi: int, passed: bool, first_failure: tuple[int, str] | None = None):
-        if passed != (first_failure is None):
-            raise ValueError("passed must match the absence of a failure")
-        return super().__new__(cls, name, lo, hi, passed, first_failure)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "CheckReport":  # the base's skips __new__; _replace calls it
-        return cls(*iterable)
+__all__ = ["check_all", "check_bounds", "check_identities", "check_partition"]
 
 
 def sqrt_window_bound_holds(n: int, value: int) -> bool:

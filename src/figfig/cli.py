@@ -16,9 +16,9 @@ stream._numbered, its window's u by one str.replace, and the a and b
 columns by one `%` call.  Each subcommand imports what it alone uses,
 when it runs: `gen` only the stream; `verify` the law checks; `remainder`
 the remainder tools and the series; `approx` the series; `coeffs` the
-series and `fractions`; `compare` the b-file reader, which brings the
-checks for its report type.  Only `remainder --format jsonl` imports
-`json`, and none imports `dataclasses`.
+series and `fractions`; `compare` the b-file reader, whose report type
+lives in the stream.  Only `remainder --format jsonl` imports `json`,
+and none imports `dataclasses`.
 """
 
 import argparse

@@ -20,7 +20,6 @@ tuples, so loading this module imports no `dataclasses`.
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import repeat
 
 from . import _int_arg
 from .series import _EVALUATORS, _PREFIXES, _check_order
@@ -34,17 +33,20 @@ RemainderRow.__doc__ = "Exact value, truncated series, and scaled remainder at o
 
 
 def _scaled_sum(
-    summed: str, coeffs: tuple[float, ...], ns: Iterable[int], exact: Iterable[int], total: float = 0.0
+    summed: str, coeffs: tuple[float, ...], ns: Iterable[int], exact: int, step: int, total: float
 ) -> tuple[float, float, float]:
     """(total plus the scaled remainder at each index of ns, in turn; the last index's tail and remainder).
 
-    ns is non-empty.  `exact` holds u_n at each n for the u-series ("u"),
-    and e_n = 2 a_n - n^2 for the a-series tail ("a"); `coeffs` is the
-    family's first `order` float coefficients.  The b remainder is the u
-    remainder, since b and its series both exceed u and its series by
-    exactly n.  For a, the n^2/2 head is subtracted in integers (inside
-    e_n) before any float enters, to dodge cancellation.  Each index
-    climbs the ladder in a flat loop by the float operations of
+    ns is a non-empty window of consecutive indices, and `exact` the
+    exact value at its first index: u_n for the u-series ("u"), constant
+    on a window of constant u, and e_n = 2 a_n - n^2 for the a-series tail
+    ("a"), which steps by `step` = 2k - 1 from one index to the next.  The
+    remainder table passes each row as a window of one index with step 0.
+    `coeffs` is the family's first `order` float coefficients.  The b
+    remainder is the u remainder, since b and its series both exceed u and
+    its series by exactly n.  For a, the n^2/2 head is subtracted in
+    integers (inside e_n) before any float enters, to dodge cancellation.
+    Each index climbs the ladder in a flat loop by the float operations of
     eval_u_series and eval_a_series, so its tail equals theirs bit for
     bit; one more square root of its last rung (n/2)^(1/2^order) gives the
     next rung, which scales the remainder.  The first rung is taken out of
@@ -58,23 +60,24 @@ def _scaled_sum(
     sqrt = math.sqrt
     first, rest = coeffs[0], coeffs[1:]
     if summed == "a":
-        for n, e in zip(ns, exact):
+        for n in ns:
             half = n / 2
             root = sqrt(half)
             tail = first * root * half
             for coeff in rest:
                 root = sqrt(root)
                 tail += coeff * root * half
-            remainder = e / 2 - tail
+            remainder = exact / 2 - tail
             total += remainder / (half * sqrt(root))
+            exact += step
     else:
-        for n, u in zip(ns, exact):
+        for n in ns:
             root = sqrt(n / 2)
             tail = first * root
             for coeff in rest:
                 root = sqrt(root)
                 tail += coeff * root
-            remainder = u - tail
+            remainder = exact - tail
             total += remainder / sqrt(root)
     return total, tail, remainder
 
@@ -82,62 +85,60 @@ def _scaled_sum(
 def _window_sum(summed: str, coeffs: tuple[float, ...], ns: range, exact: int, step: int, total: float) -> float:
     """total plus the scaled remainder at each index of ns, one window of constant u, in turn.
 
-    `exact` is the window's u for the u-series ("u"); for the a-series
-    ("a") it is e_n = 2 a_n - n^2 at the first index, which steps by
-    `step` = 2k - 1.  Orders 1 to 3 take an unrolled body: the rungs
-    r1 = sqrt(n/2), r2 = sqrt(r1), r3 = sqrt(r2), the tail
-    c1*r1 + c2*r2 + c3*r3 summed left to right (each product times n/2
-    for a), and one more root to scale.  These are _scaled_sum's float
-    operations in its order, so each scaled remainder, and the total, is
-    the same float; the body only spares its zip and inner loop on every
-    index.  Deeper orders go to _scaled_sum.
+    The window is _scaled_sum's: `exact` is the window's u for the
+    u-series ("u"); for the a-series ("a") it is e_n = 2 a_n - n^2 at the
+    first index, which steps by `step` = 2k - 1.  Orders 1 to 3 take an
+    unrolled body: the rungs r1 = sqrt(n/2), r2 = sqrt(r1), r3 = sqrt(r2),
+    the tail c1*r1 + c2*r2 + c3*r3 summed left to right (each product
+    times n/2 for a), and one more root to scale.  These are _scaled_sum's
+    float operations in its order, so each scaled remainder, and the
+    total, is the same float; the body only spares the inner loop over
+    the coefficients on every index.  Deeper orders pass the window
+    straight to _scaled_sum.
     """
     order = len(coeffs)
     if order > 3:
-        exacts = range(exact, exact + step * len(ns), step) if summed == "a" else repeat(exact, len(ns))
-        return _scaled_sum(summed, coeffs, ns, exacts, total)[0]
+        return _scaled_sum(summed, coeffs, ns, exact, step, total)[0]
     sqrt = math.sqrt
     c1, c2, c3 = coeffs + (0.0,) * (3 - order)
     if summed == "u":
-        u = exact
         if order == 1:
             for n in ns:
                 r1 = sqrt(n / 2)
-                total += (u - c1 * r1) / sqrt(r1)
+                total += (exact - c1 * r1) / sqrt(r1)
         elif order == 2:
             for n in ns:
                 r1 = sqrt(n / 2)
                 r2 = sqrt(r1)
-                total += (u - (c1 * r1 + c2 * r2)) / sqrt(r2)
+                total += (exact - (c1 * r1 + c2 * r2)) / sqrt(r2)
         else:
             for n in ns:
                 r1 = sqrt(n / 2)
                 r2 = sqrt(r1)
                 r3 = sqrt(r2)
-                total += (u - (c1 * r1 + c2 * r2 + c3 * r3)) / sqrt(r3)
+                total += (exact - (c1 * r1 + c2 * r2 + c3 * r3)) / sqrt(r3)
         return total
-    e = exact
     if order == 1:
         for n in ns:
             half = n / 2
             r1 = sqrt(half)
-            total += (e / 2 - c1 * r1 * half) / (half * sqrt(r1))
-            e += step
+            total += (exact / 2 - c1 * r1 * half) / (half * sqrt(r1))
+            exact += step
     elif order == 2:
         for n in ns:
             half = n / 2
             r1 = sqrt(half)
             r2 = sqrt(r1)
-            total += (e / 2 - (c1 * r1 * half + c2 * r2 * half)) / (half * sqrt(r2))
-            e += step
+            total += (exact / 2 - (c1 * r1 * half + c2 * r2 * half)) / (half * sqrt(r2))
+            exact += step
     else:
         for n in ns:
             half = n / 2
             r1 = sqrt(half)
             r2 = sqrt(r1)
             r3 = sqrt(r2)
-            total += (e / 2 - (c1 * r1 * half + c2 * r2 * half + c3 * r3 * half)) / (half * sqrt(r3))
-            e += step
+            total += (exact / 2 - (c1 * r1 * half + c2 * r2 * half + c3 * r3 * half)) / (half * sqrt(r3))
+            exact += step
     return total
 
 
@@ -187,7 +188,7 @@ def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRo
     rows = []
     for n, values in zip(ns, _heads(ns)):
         a, _, u = values
-        scaled, tail, remainder = _scaled_sum(summed, coeffs, (n,), (2 * a - n * n if seq == "a" else u,))
+        scaled, tail, remainder = _scaled_sum(summed, coeffs, (n,), 2 * a - n * n if seq == "a" else u, 0, 0.0)
         rows.append(RemainderRow(n, order, values[position], head(n) + tail, remainder, scaled))
     return rows
 

@@ -46,6 +46,11 @@ The index column, which counts up by 1, is written as text by
 writer: a thousand lines at a time from a cached template, with only the
 thousands prefix converted, in place of one int-to-decimal conversion
 per line.
+
+`CheckReport`, the outcome of a law check and of a b-file compare, lives
+here beside CHECK_NAMES rather than with the law checks: the b-file
+reader returns it too, and this module is the one both load, so reading
+or comparing a b-file does not load the checks.
 """
 
 from bisect import bisect_left
@@ -55,7 +60,7 @@ from itertools import accumulate, chain, islice, repeat
 
 from . import _int_arg
 
-__all__ = ["SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
+__all__ = ["CheckReport", "SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
 
 SEQUENCE_IDS = ("a", "b", "u")
 
@@ -64,6 +69,22 @@ SEQUENCE_IDS = ("a", "b", "u")
 # command loads, so the command line can offer them without loading the
 # checks.
 CHECK_NAMES = ("partition", "identities", "bounds")
+
+
+class CheckReport(namedtuple("_CheckReportFields", "name lo hi passed first_failure", defaults=(None,))):
+    """Outcome of one streamed verification over indices [lo, hi]; any way of
+    building one with passed != (first_failure is None) raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, lo: int, hi: int, passed: bool, first_failure: tuple[int, str] | None = None):
+        if passed != (first_failure is None):
+            raise ValueError("passed must match the absence of a failure")
+        return super().__new__(cls, name, lo, hi, passed, first_failure)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "CheckReport":  # the base's skips __new__; _replace calls it
+        return cls(*iterable)
 
 
 def _check_seq(seq: str) -> None:
@@ -235,11 +256,19 @@ class TripleStream:
     def __iter__(self) -> Iterator[Triple]:
         return self
 
-    def __next__(self) -> Triple:
-        return self.next_triple()
+    __next__ = next_triple
 
 
 def value_at(seq: str, n: int) -> int:
-    """The n-th term of sequence "a", "b", or "u", by O(n^(1/4)) jump-ahead; n is an int (operator.index)."""
+    """The n-th term of sequence "a", "b", or "u", by O(n^(1/4)) jump-ahead; n is an int (operator.index).
+
+    The jump reads about (8n)^(1/4) leading a-values, and its time grows
+    about that fast: one call took 0.26 s at n = 1e21, 1.7 s at 1e24 and
+    6.6 s at 1e26 (`value_at("u", n)`, one run each, Python 3.11.7 on a
+    shared 2-core host), so an index near 1e40 runs for hours
+    (extrapolated).  No index is refused for its size: a jump that steps
+    over windows of every depth, not only levels 1 and 2, is the fix
+    (ROADMAP item 9).
+    """
     _check_seq(seq)
     return _heads((_int_arg(n, "index", 1),))[0][SEQUENCE_IDS.index(seq)]

@@ -19,8 +19,10 @@ from figfig import (
     check_bounds,
     check_identities,
     check_partition,
+    compare_reference,
     decade_remainder_means,
     eval_u_series,
+    parse_bfile,
     remainder_table,
     run_cli,
     u_coeff,
@@ -92,6 +94,17 @@ def test_replace_cannot_break_report_consistency():
         report._replace(first_failure=(1, "boom"))
     with pytest.raises(ValueError):
         CheckReport._make(("x", 1, 2, False, None))
+
+
+def test_check_and_compare_reports_share_one_class():
+    # The law checks and the b-file compare hand out the stream's
+    # CheckReport, whose consistency rule holds for both.
+    reports = (check_partition(10), compare_reference(parse_bfile("1 1\n2 3\n"), "a"))
+    assert reports == (CheckReport("partition", 1, 10, True), CheckReport("compare:a", 1, 2, True))
+    for report in reports:
+        assert isinstance(report, stream.CheckReport)
+        with pytest.raises(ValueError):
+            report._replace(passed=False)
 
 
 def test_records_are_tuples():
@@ -424,6 +437,29 @@ def test_decade_means_take_the_unrolled_bodies_at_orders_1_to_3(monkeypatch):
             assert decade_remainder_means(seq, order, 0, 3) == reference_decade_means(seq, order, 0, 3)
         with pytest.raises(Looped):
             decade_remainder_means(seq, 4, 0, 3)
+
+
+@pytest.mark.parametrize("order", [4, 64])
+def test_deep_decade_means_hand_the_loop_whole_windows(monkeypatch, order):
+    # At orders 4 to 64 _window_sum passes each window to the looped
+    # kernel as it is: a range of indices, and the first exact value and
+    # its step as ints, with no column built to zip against.
+    calls = []
+    scaled_sum = remainders._scaled_sum
+
+    def recorded(summed, coeffs, ns, exact, step, total):
+        calls.append((summed, ns, exact, step))
+        return scaled_sum(summed, coeffs, ns, exact, step, total)
+
+    monkeypatch.setattr(remainders, "_scaled_sum", recorded)
+    for seq in "abu":
+        calls.clear()
+        assert decade_remainder_means(seq, order, 0, 3) == reference_decade_means(seq, order, 0, 3)
+        assert calls
+        for summed, ns, exact, step in calls:
+            assert summed == ("a" if seq == "a" else "u")
+            assert type(ns) is range and type(exact) is int and type(step) is int
+            assert step == (2 * value_at("u", ns[0]) - 1 if seq == "a" else 0)
 
 
 def test_remainder_table_reaches_far_indices():

@@ -20,13 +20,15 @@ LIBRARY_CALLS = [
     ("figfig.eval_u_series(2, 64)\nfigfig.eval_a_series(2, 64)", {"figfig.series"}),
     ("figfig.check_all(100)", {"figfig.checks", "figfig.stream"}),
     ('figfig.decade_remainder_means("u", 1, 1, 2)', {"figfig.remainders", "figfig.stream", "figfig.series"}),
+    ('figfig.parse_bfile("1 1\\n2 3\\n")', {"figfig.stream", "figfig.bfile"}),
+    ('figfig.compare_reference(figfig.parse_bfile("1 1\\n2 3\\n"), "a")', {"figfig.stream", "figfig.bfile"}),
 ]
 
 COMMANDS = [
     (("gen", "--seq", "a", "--count", "10"), {"stream"}),
     (("verify", "--check", "all", "--upto", "100"), {"stream", "checks"}),
     (("approx", "--seq", "a", "--order", "3", "--n", "1000"), {"stream", "series"}),
-    (("compare", "--seq", "a", "--bfile", str(BFILE)), {"stream", "checks", "bfile"}),
+    (("compare", "--seq", "a", "--bfile", str(BFILE)), {"stream", "bfile"}),
     (("remainder", "--seq", "u", "--order", "1", "--ns", "10,100"), {"stream", "remainders", "series"}),
 ]
 
@@ -75,7 +77,7 @@ def test_library_calls_load_only_their_modules(call, modules):
 @pytest.mark.parametrize("argv, modules", COMMANDS)
 def test_commands_load_only_their_modules(argv, modules):
     # None of them loads dataclasses, fractions, decimal or json; only
-    # compare loads the b-file code, gen does not load the checks, and
+    # compare loads the b-file code, only verify loads the checks, and
     # only remainder loads the remainder tools.
     loaded = loaded_by_cli(*argv)
     assert {name for name in loaded if name.startswith("figfig.")} == {"figfig.cli"} | {
@@ -117,6 +119,22 @@ def test_every_public_name_is_the_object_of_its_home_module():
     for module in set(figfig._HOMES.values()):
         names = sorted(name for name, home in figfig._HOMES.items() if home == module)
         assert sorted(importlib.import_module(f"figfig.{module}").__all__) == names, module
+
+
+def test_bfile_module_loads_the_stream_alone():
+    # The b-file reader takes its report type from the stream, not from
+    # the law checks.
+    loaded = loaded_after("import figfig.bfile")
+    assert {name for name in loaded if name.startswith("figfig.")} == {"figfig.stream", "figfig.bfile"}
+
+
+def test_check_report_is_one_class_under_every_name():
+    import figfig.checks
+    import figfig.stream
+
+    assert figfig._HOMES["CheckReport"] == "stream"
+    assert figfig.CheckReport is figfig.stream.CheckReport is figfig.checks.CheckReport
+    assert "CheckReport" not in figfig.checks.__all__
 
 
 def test_checks_module_holds_no_remainder_tools():

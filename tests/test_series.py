@@ -279,14 +279,14 @@ def test_series_kernels_equal_an_independent_ladder(n, order):
     assert eval_u_series(n, order) == u_total
     remainder = 1 - u_total
     expected = (remainder / math.sqrt(rung), u_total, remainder)
-    assert remainders._scaled_sum("u", series._PREFIXES["u"][order], (n,), (1,)) == expected
+    assert remainders._scaled_sum("u", series._PREFIXES["u"][order], (n,), 1, 0, 0.0) == expected
     if n < FIRST_TOO_LARGE["b"]:
         assert eval_b_series(n, order) == n + u_total
     if n < FIRST_TOO_LARGE["a"]:
         assert eval_a_series(n, order) == n * n / 2 + a_tail
         remainder = 1 / 2 - a_tail
         expected = (remainder / (n / 2 * math.sqrt(rung)), a_tail, remainder)
-        assert remainders._scaled_sum("a", series._PREFIXES["a"][order], (n,), (1,)) == expected
+        assert remainders._scaled_sum("a", series._PREFIXES["a"][order], (n,), 1, 0, 0.0) == expected
 
 
 def test_float_coefficients_are_the_rounded_fractions():
