@@ -3,17 +3,19 @@
 The law checks share one driver that walks the stream once, a window of
 constant u at a time, and hands each window to every selected check
 still running, so `check_all` verifies the partition, the identities and
-the bounds in a single pass.  A check tests each law once per window,
-at the window's ends, where that is proved to cover every index in it;
-it walks a window index by index, with the same per-index tests, where
-such a test fails or does not apply.  So a failure names the same first
-index and detail as an index-by-index walk would.  A check stops at its
-first violation and reports it instead of raising; a passing report
-covers the whole requested range.  The bound checks compare in exact
-integer arithmetic (squared rearrangements of the square-root bounds) so
-they cannot be fooled by rounding at any index.  Reports are the named
-tuples of `stream.CheckReport`, which the b-file compare returns too, so
-loading this module imports no `dataclasses`.
+the bounds in a single pass.  Each law is written once, in a check's
+per-index code.  A check runs that code on a window's first index, then
+makes one test of what that index cannot show about the rest of the
+window, proved to cover every index in it; where that test fails it
+walks the rest index by index with the same per-index code.  So a
+failure names the same first index and detail as an index-by-index walk
+would.  A check stops at its first violation and reports it instead of
+raising; a passing report covers the whole requested range.  The bound
+checks compare in exact integer arithmetic (squared rearrangements of
+the square-root bounds) so they cannot be fooled by rounding at any
+index.  Reports are the named tuples of `stream.CheckReport`, which the
+b-file compare returns too, so loading this module imports no
+`dataclasses`.
 """
 
 from collections import deque
@@ -54,18 +56,14 @@ class _Partition:
         self.pending: deque[int] = deque()
 
     def window(self, n: int, a: int, first: int, hi: int, k: int) -> bool:
+        if self.row(n, a, first, k):
+            return True
         pending, upto = self.pending, self.upto
-        if not (
-            hi <= a
-            and pending
-            and pending[0] == self.expect == first - 1
-            and (len(pending) == 1 or pending[1] >= hi)
-        ):
-            return any(map(self.row, *_columns(n, a, first, hi, k)))
-        pending.popleft()
+        if not (pending[0] >= hi if pending else a > upto):
+            return any(map(self.row, *_columns(n + 1, a + first, first + 1, hi, k)))
         self.expect = hi
         if a <= upto:  # a grows, so no later window has a-values to queue either
-            pending.extend(takewhile(upto.__ge__, _columns(n, a, first, hi, k)[1]))
+            pending.extend(takewhile(upto.__ge__, _columns(n + 1, a + first, first + 1, hi, k)[1]))
         return hi > upto
 
     def row(self, n: int, a: int, b: int, u: int) -> bool:
@@ -94,7 +92,7 @@ class _Partition:
 
 
 class _Identities:
-    """The four laws of check_identities."""
+    """The laws of check_identities."""
 
     def __init__(self, upto: int) -> None:
         self.upto = upto
@@ -102,8 +100,8 @@ class _Identities:
         # a_k and a_{k+1} of the last window k reached, from a lag of its own.
         self.a_values = _a_values()
         self.k, self.a_k, self.a_next = 0, 0, next(self.a_values)
-        # u_1 + ... + u_{n-1} and the previous row's a and b.
-        self.u_sum = 0
+        # The index due next, u_1 + ... + u_{n-1} and the previous row's a and b.
+        self.next_n, self.u_sum = 1, 0
         self.previous_a = self.previous_b = 0
 
     def counting_window(self, u: int) -> tuple[int, int] | None:
@@ -122,31 +120,26 @@ class _Identities:
         return a_u - u, a_next - (u + 1)
 
     def window(self, n: int, a: int, first: int, hi: int, k: int) -> bool:
-        upto = self.upto
-        last = n + hi - first - 1
-        if (n > 1 and a - self.previous_a != self.previous_b) or (
-            n <= upto
-            and not (
-                first == n + k
-                and a == 1 + (n - 1) * n // 2 + self.u_sum
-                and (bounds := self.counting_window(k))
-                and bounds[0] < n
-                and min(last, upto) <= bounds[1]
-            )
-        ):
-            return any(map(self.row, *_columns(n, a, first, hi, k)))
+        upto, last = self.upto, n + hi - first - 1
+        if self.row(n, a, first, k):
+            return True
+        # Row n held, so k is the lag's window (see counting_window).
+        if min(last, upto) > self.a_next - (k + 1):
+            return any(map(self.row, *_columns(n + 1, a + first, first + 1, hi, k)))
         if last > upto:
             return True
-        self.u_sum += k * (hi - first)
+        self.next_n, self.u_sum = last + 1, self.u_sum + k * (hi - first - 1)
         self.previous_a = a + (first + hi - 2) * (hi - first - 1) // 2
         self.previous_b = hi - 1
         return False
 
     def row(self, n: int, a: int, b: int, u: int) -> bool:
-        # Row upto + 1 is read only for the difference law at n = upto.
+        # Row upto + 1 is read only for its index and the difference law at n = upto.
         upto = self.upto
         failure = None
-        if n > 1 and a - self.previous_a != self.previous_b:
+        if n != self.next_n:
+            failure = (self.next_n, f"index {n} arrived, expected {self.next_n}")
+        elif n > 1 and a - self.previous_a != self.previous_b:
             failure = (
                 n - 1,
                 f"a({n}) - a({n - 1}) = {a - self.previous_a}, expected b({n - 1}) = {self.previous_b}",
@@ -162,7 +155,7 @@ class _Identities:
         elif not bounds[0] < n <= bounds[1]:
             failure = (n, f"counting window ({bounds[0]}, {bounds[1]}] misses n")
         self.failure = failure
-        self.u_sum += u
+        self.next_n, self.u_sum = n + 1, self.u_sum + u
         self.previous_a, self.previous_b = a, b
         return failure is not None or n > upto
 
@@ -175,7 +168,7 @@ class _Bounds:
         self.failure: tuple[int, str] | None = None
 
     def window(self, n: int, a: int, first: int, hi: int, k: int) -> bool:
-        # The first row decides the whole window (see _run_checks).
+        # Row n's bounds imply them on the rest of the window (see _run_checks).
         return self.row(n, a, first, k) or n + hi - first > self.upto
 
     def row(self, n: int, a: int, b: int, u: int) -> bool:
@@ -193,7 +186,7 @@ class _Bounds:
         elif not a_upper_bound_holds(n, a):
             failure = (n, f"a = {a} not below n^2/2 + (2^1.5/3) n^1.5 - 1/3")
         self.failure = failure
-        return failure is not None or n == self.upto
+        return failure is not None or n >= self.upto
 
 
 # Each law check by name, in the order of CHECK_NAMES.
@@ -205,38 +198,43 @@ def _run_checks(upto: int, names: Sequence[str]) -> tuple[CheckReport, ...]:
 
     A window (n, a, first, hi, k) of `_runs` holds the rows n, ..., n + w - 1
     (w = hi - first) with b = first, ..., hi - 1, u = k throughout, and each
-    row's a the previous row's a plus its b.  Each check tests a window as
-    a whole where a few exact tests at its ends prove its laws on every row
-    of it (below); otherwise, and wherever such a test fails, it walks the
-    window row by row with its per-row code (`row`), so a failure names the
-    same first n and the same detail as a walk of every row would.  Each
-    check finishes on its own pass or first failure; the walk ends once all
-    of them have finished.  Reports come back in the order of `names`.
-    Every range is validated before the first window is read.
+    row's a the previous row's a plus its b.  Each check runs its per-row
+    code (`row`) on the window's first row, then makes one exact test of
+    what that row cannot show about the rows after it (below).  Where the
+    test holds, the check sets its state as a walk of those rows would;
+    where it fails, it walks them with `row`.  So each law is written once,
+    and a failure names the same first n and the same detail as a walk of
+    every row would.  Each check finishes on its own pass or first failure;
+    the walk ends once all of them have finished.  Reports come back in the
+    order of `names`.  Every range is validated before the first window is
+    read.
 
-    Partition.  Say a >= hi, and the pending a-values are a_k = first - 1
-    = expect and then only values >= hi.  The window's own a-values grow
-    by b >= first > expect >= 1 from a, so they too lie at or above hi.
-    Then the rows pop a_k, cover first, ..., hi - 1 in turn and reach no
-    other pending value.  As expect <= upto while the check runs, it
-    passes in this window if hi > upto; otherwise expect becomes hi and
-    the window's a-values <= upto join the pending ones.  In a stream
-    without faults only the first two windows, whose a-values lie among
-    their own b-values, are walked.
+    Partition.  Row n has covered first, so first >= 1 and expect = first
+    + 1 <= upto.  Say the front of the pending a-values is >= hi, or none
+    is pending and a > upto.  The rows after n have b < hi, so none of
+    them pops a value: in the first case their a-values queue behind that
+    front, and in the second they grow from a by b > 0, stay above upto
+    and are not queued.  So these rows cover first + 1, ..., hi - 1 in
+    turn.  The check passes in this window if hi > upto; otherwise expect
+    becomes hi and the window's a-values <= upto join the pending ones.
+    Without faults only the window of u = 2 is walked: none is pending
+    there, and its a = 3.
 
-    Identities.  Inside a window a_{m+1} - a_m = b_m holds by construction,
-    so the difference law is tested at the window's start only.  b - n =
-    first - n on every row, so the shift law holds on all of them if
-    first == n + k.  Given that, the closed form's right side and a both
-    grow by n + k per row, so it holds on all of them if it holds at n.
-    The counting window (a_k - k, a_{k+1} - (k + 1)] is an interval, so it
-    holds on the rows n, ..., min(n + w - 1, upto) if it holds at both
-    ends.  Rows past upto are held only to the difference law, so a window
-    that passes and holds row upto + 1 ends the check.
+    Identities.  Row n has held, so n <= upto, and at n every law holds
+    with u = k, which is then the lag's window (see counting_window).  The
+    rows after n follow on in index, and a_{m+1} - a_m = b_m holds by
+    construction.  b - m = first - n = k on every row, so the shift law
+    holds on all of them.  The closed form's right side and a both grow by
+    m + k per row, so it holds on all of them too.  The counting window
+    (a_k - k, a_{k+1} - (k + 1)] is an interval that holds n, so it holds
+    on the rows n, ..., min(n + w - 1, upto) if its upper end is at least
+    min(n + w - 1, upto).  Rows past upto are held only to their index and
+    the difference law, so a window that passes and holds row upto + 1
+    ends the check.
 
     Bounds.  With d = b - n = first - n and u = k constant on the window,
-    each of the six bounds at the window's first row implies it at every
-    later row m:
+    each of the six bounds at row n implies it at every later row m, so
+    only the window's end is left to test:
     * u >= 1 and b >= n + 1 do not change.
     * (2k - 1)^2 < 8m and (2d - 1)^2 < 8m are weakest at the smallest m.
     * The slack 2a - m(m + 1) grows by 2b - 2(m + 1) = 2(d - 1) >= 0 per
@@ -248,15 +246,17 @@ def _run_checks(upto: int, names: Sequence[str]) -> tuple[CheckReport, ...]:
       (Where the shift law holds d = k, and this is the u bound.)
     """
     upto = _int_arg(upto, "upto", 2 if "identities" in names else 1)
-    running = {name: _CHECKS[name](upto) for name in names}
-    reports: dict[str, CheckReport] = {}
+    checks = [_CHECKS[name](upto) for name in names]
+    running = list(checks)
     for window in _runs(1):
-        for name, check in list(running.items()):
+        for check in running:
             if check.window(*window):
-                reports[name] = CheckReport(name, 1, upto, check.failure is None, check.failure)
-                del running[name]
-        if not running:
-            return tuple(reports[name] for name in names)
+                running = [other for other in running if other is not check]
+                if not running:
+                    return tuple(
+                        CheckReport(name, 1, upto, finished.failure is None, finished.failure)
+                        for name, finished in zip(names, checks)
+                    )
     raise AssertionError("unreachable: the stream is infinite")
 
 
@@ -272,12 +272,18 @@ def check_identities(upto: int) -> CheckReport:
     closed form a_n = 1 + (n-1)n/2 + sum of u_1..u_{n-1}, and the counting
     window a(u_n) - u_n < n <= a(u_n + 1) - (u_n + 1), whose bounds come
     from a walk of the check's own that keeps pace with the rows checked.
+    The rows must come at the consecutive indices 1, 2, ..., upto + 1: the
+    first that does not fails at the index that was due.
     """
     return _run_checks(upto, ("identities",))[0]
 
 
 def check_bounds(upto: int) -> CheckReport:
-    """The six two-sided bounds on u, b, and a, for n in [1, upto]."""
+    """The six two-sided bounds on u, b, and a, for n in [1, upto].
+
+    Each row is held to them at the index it carries; that the indices run
+    1, 2, ... without a gap is a law of check_identities.
+    """
     return _run_checks(upto, ("bounds",))[0]
 
 

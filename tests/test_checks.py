@@ -4,12 +4,12 @@ import math
 import pickle
 import tracemalloc
 from collections import deque
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import islice, product, takewhile
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from figfig import (
     CheckReport,
@@ -540,7 +540,7 @@ def reference_run_checks(upto, names):
 
     expect = 1
     pending_a = deque()
-    u_sum = 0
+    next_n, u_sum = 1, 0
     previous_a = previous_b = 0
     a_values, recorded = checks._a_values(), []
 
@@ -576,7 +576,9 @@ def reference_run_checks(upto, names):
                 partition = False
         if identities:
             failure = None
-            if n > 1 and a - previous_a != previous_b:
+            if n != next_n:
+                failure = (next_n, f"index {n} arrived, expected {next_n}")
+            elif n > 1 and a - previous_a != previous_b:
                 failure = (
                     n - 1,
                     f"a({n}) - a({n - 1}) = {a - previous_a}, expected b({n - 1}) = {previous_b}",
@@ -597,7 +599,7 @@ def reference_run_checks(upto, names):
             if failure or n > upto:
                 report("identities", failure)
                 identities = False
-            u_sum += u
+            next_n, u_sum = n + 1, u_sum + u
             previous_a, previous_b = a, b
         if bounds:
             failure = None
@@ -613,7 +615,7 @@ def reference_run_checks(upto, names):
                 failure = (n, f"a = {a} below n^2/2 + n/2")
             elif not a_upper_bound_holds(n, a):
                 failure = (n, f"a = {a} not below n^2/2 + (2^1.5/3) n^1.5 - 1/3")
-            if failure or n == upto:
+            if failure or n >= upto:
                 report("bounds", failure)
                 bounds = False
         if not (partition or identities or bounds):
@@ -643,6 +645,24 @@ def corrupting_runs(real, index, changes):
             yield row.n, row.a, row.b, row.b + 1, row.u
             if b + 1 < hi:
                 yield index + 1, row_a + b, b + 1, hi, k
+
+    return runs
+
+
+WINDOW_FIELDS = ("n", "a", "first", "hi", "k")
+
+
+def corrupting_window(real, position, changes):
+    """A stand-in for _runs that yields its window `position` (from 0) whole,
+    with `changes` to the fields of WINDOW_FIELDS applied.  The windows
+    after it are the true ones, so a changed n, first or hi leaves the index
+    column with a gap or an overlap where the next window starts."""
+
+    def runs(start):
+        for i, window in enumerate(real(start)):
+            if i == position:
+                window = tuple(changes.get(field, value) for field, value in zip(WINDOW_FIELDS, window))
+            yield window
 
     return runs
 
@@ -857,6 +877,41 @@ def test_identities_to_1e18_end_at_an_early_fault(monkeypatch):
     assert peak < 64 * 1024
 
 
+# The window of u = 11 holds the indices 73-86; moved to start at 75, the
+# rows 73 and 74 are never read.  At upto = 74 the next row read is 75,
+# past upto, where only its index and the difference law are tested.
+@pytest.mark.parametrize("upto", [74, 100])
+def test_identities_fail_where_the_index_column_skips(monkeypatch, upto):
+    monkeypatch.setattr(checks, "_runs", corrupting_window(checks._runs, 10, {"n": 75}))
+    expected = (
+        CheckReport("partition", 1, upto, True),
+        CheckReport("identities", 1, upto, False, (73, "index 75 arrived, expected 73")),
+        CheckReport("bounds", 1, upto, True),
+    )
+    assert check_all(upto) == expected
+    assert reference_run_checks(upto, CHECK_NAMES) == expected
+
+
+@pytest.mark.parametrize("names", [CHECK_NAMES, *((name,) for name in CHECK_NAMES)])
+def test_window_tests_run_the_row_code_once_per_window(monkeypatch, names):
+    # On the true stream each window test runs its check's row code on the
+    # window's first row only.  A fast path that stopped firing would give
+    # the same reports, only slower, so the calls are counted.
+    upto = 10**6
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        check = checks._CHECKS[name]
+
+        def counted(self, *row, name=name, row_code=check.row):
+            calls[name] += 1
+            return row_code(self, *row)
+
+        monkeypatch.setattr(check, "row", counted)
+    windows = sum(1 for _ in takewhile(lambda window: window[0] <= upto + 1, checks._runs(1)))
+    assert checks._run_checks(upto, names) == tuple(CheckReport(name, 1, upto, True) for name in names)
+    assert all(count <= windows + 2 for count in calls.values()), (windows, calls)
+
+
 def misrecorded(position, delta):
     """A stand-in for checks._a_values whose a_{position + 1}, a bound the
     counting window reads, is off by delta; the stream itself stays true."""
@@ -903,6 +958,17 @@ A_VALUES = list(takewhile((20_000).__ge__, _a_values()))
 @st.composite
 def faulty_runs(draw):
     upto = draw(st.one_of(st.integers(2, 20_000), st.sampled_from(A_VALUES[1:])))
+    names = tuple(draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1, max_size=3, unique=True)))
+    if draw(st.booleans()):
+        # One window the checks reach, whole, with its first index, a, first
+        # b, bound hi or u moved by 1 to 50 either way; it keeps a row.
+        position = draw(st.integers(0, sum(w[0] <= upto + 1 for w in WINDOWS) - 1))
+        n, _, first, hi = WINDOWS[position]
+        field = draw(st.sampled_from(WINDOW_FIELDS))
+        true_value = dict(zip(WINDOW_FIELDS, (n, next(_rows(n)).a, first, hi, position + 1)))[field]
+        changes = {field: true_value + draw(st.integers(-50, 50).filter(bool))}
+        assume(changes.get("hi", hi) > changes.get("first", first))
+        return upto, partial(corrupting_window, position=position, changes=changes), names
     place = draw(st.sampled_from([
         "any", "a_value_row", "window_first", "window_last", "b_reaches_upto", "upto", "upto + 1",
     ]))
@@ -935,16 +1001,15 @@ def faulty_runs(draw):
         st.integers(-2, upto + 2),
     ).filter(true_value.__ne__))
     changes = {"u": value, "b": index + value} if field == "u and b" else {field: value}
-    names = draw(st.lists(st.sampled_from(CHECK_NAMES), min_size=1, max_size=3, unique=True))
-    return upto, index, changes, tuple(names)
+    return upto, partial(corrupting_runs, index=index, changes=changes), names
 
 
 @settings(max_examples=200, deadline=None)
 @given(faulty_runs())
 def test_windowed_checks_match_reference_under_any_fault(case):
-    upto, index, changes, names = case
+    upto, corrupt, names = case
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(checks, "_runs", corrupting_runs(checks._runs, index, changes))
+        patch.setattr(checks, "_runs", corrupt(checks._runs))
         assert checks._run_checks(upto, names) == reference_run_checks(upto, names)
 
 
