@@ -13,13 +13,17 @@ window of constant u at a time, by an unrolled body at orders 1 to 3 and
 by that loop deeper.  So the decade means' working memory stays a few
 windows' worth however many decades they span; each decade's scaled
 values are added left to right, one at a time, so the means are the
-same floats an index-by-index walk gives.  Remainder rows are named
+same floats an index-by-index walk gives.  The unrolled bodies count in
+floats, n/2 by 0.5 and e_n/2 by half its step, which hold every value
+exactly below 2^52; a window that reaches 2^52 goes to the loop, which
+makes the same float operations from ints.  Remainder rows are named
 tuples, so loading this module imports no `dataclasses`.
 """
 
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 
 from . import _int_arg
 from .series import _EVALUATORS, _PREFIXES, _check_order
@@ -55,7 +59,8 @@ def _scaled_sum(
     the root positive and the first coefficient of each family is
     positive.  This is the remainder table's kernel, and the decade
     means' at orders 4 to 64; at orders 1 to 3 they take _window_sum's
-    unrolled bodies, which make these float operations in this order.
+    unrolled bodies, which make these float operations in this order from
+    float counters, except on a window that reaches 2^52, which comes here.
     """
     sqrt = math.sqrt
     first, rest = coeffs[0], coeffs[1:]
@@ -93,52 +98,64 @@ def _window_sum(summed: str, coeffs: tuple[float, ...], ns: range, exact: int, s
     times n/2 for a), and one more root to scale.  These are _scaled_sum's
     float operations in its order, so each scaled remainder, and the
     total, is the same float; the body only spares the inner loop over
-    the coefficients on every index.  Deeper orders pass the window
-    straight to _scaled_sum.
+    the coefficients on every index.  Its counters are floats: n/2 steps
+    by 0.5 from the window's first index, u is converted once, and e_n/2
+    steps by step/2, so no index pays for an int or a mixed int-float
+    operation.  Each counter is an integer or a half-integer below 2^52,
+    which a float holds exactly, so every root and difference gets the
+    input _scaled_sum gives it.  A window whose last index, or whose
+    |e_n| + width * step, reaches 2^52 goes to _scaled_sum, as do deeper
+    orders.
     """
-    order = len(coeffs)
-    if order > 3:
+    order, width = len(coeffs), len(ns)
+    if order > 3 or ns.stop > 2**52 or abs(exact) + width * step >= 2**52:
         return _scaled_sum(summed, coeffs, ns, exact, step, total)[0]
     sqrt = math.sqrt
     c1, c2, c3 = coeffs + (0.0,) * (3 - order)
+    half = ns.start / 2
     if summed == "u":
+        exact = float(exact)
         if order == 1:
-            for n in ns:
-                r1 = sqrt(n / 2)
+            for _ in repeat(None, width):
+                r1 = sqrt(half)
+                half += 0.5
                 total += (exact - c1 * r1) / sqrt(r1)
         elif order == 2:
-            for n in ns:
-                r1 = sqrt(n / 2)
+            for _ in repeat(None, width):
+                r1 = sqrt(half)
+                half += 0.5
                 r2 = sqrt(r1)
                 total += (exact - (c1 * r1 + c2 * r2)) / sqrt(r2)
         else:
-            for n in ns:
-                r1 = sqrt(n / 2)
+            for _ in repeat(None, width):
+                r1 = sqrt(half)
+                half += 0.5
                 r2 = sqrt(r1)
                 r3 = sqrt(r2)
                 total += (exact - (c1 * r1 + c2 * r2 + c3 * r3)) / sqrt(r3)
         return total
+    e, de = exact / 2, step / 2
     if order == 1:
-        for n in ns:
-            half = n / 2
+        for _ in repeat(None, width):
             r1 = sqrt(half)
-            total += (exact / 2 - c1 * r1 * half) / (half * sqrt(r1))
-            exact += step
+            total += (e - c1 * r1 * half) / (half * sqrt(r1))
+            half += 0.5
+            e += de
     elif order == 2:
-        for n in ns:
-            half = n / 2
+        for _ in repeat(None, width):
             r1 = sqrt(half)
             r2 = sqrt(r1)
-            total += (exact / 2 - (c1 * r1 * half + c2 * r2 * half)) / (half * sqrt(r2))
-            exact += step
+            total += (e - (c1 * r1 * half + c2 * r2 * half)) / (half * sqrt(r2))
+            half += 0.5
+            e += de
     else:
-        for n in ns:
-            half = n / 2
+        for _ in repeat(None, width):
             r1 = sqrt(half)
             r2 = sqrt(r1)
             r3 = sqrt(r2)
-            total += (exact / 2 - (c1 * r1 * half + c2 * r2 * half + c3 * r3 * half)) / (half * sqrt(r3))
-            exact += step
+            total += (e - (c1 * r1 * half + c2 * r2 * half + c3 * r3 * half)) / (half * sqrt(r3))
+            half += 0.5
+            e += de
     return total
 
 

@@ -24,15 +24,18 @@ window.  The windows k that share one value u_k = m form a level-2
 window, on which a_{k+1} = a_k + k + m, so closed sums of k and k^2
 step over a whole one at once: `_locate` finds the window holding
 index n from the ~(8 n)^(1/4) leading a-values, about 1,700 at n =
-1e12 where the window-by-window walk read 1.4 million, and precomputes
-no table.
+1e12 where the window-by-window walk read 1.4 million, and keeps no
+table but a held head of 64 values.
 
 The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
 the indices run from n, u = k throughout, and the next window's a is
 a_n plus the sum of that range.  It starts from `_locate(start)`, and
 its lag `_a_values(k + 2)` is its own a column from the next window's
-bound on, found by the same jump one level down.  The law checks and
+bound on, found by the same jump one level down.  Every lag starts in
+`_HEAD`, the first 64 a-values, built once at import by the seeded walk;
+past a_64 it goes on by a walk of its own, so a jump to n below about
+2e6, which reads at most a_64, makes no nested lag.  The law checks and
 the decade means read the windows themselves.  `_columns` gives one
 window's n, a, b and u columns as C-level iterables, which the law
 checks and `figfig gen` read; `_column(seq, start)` chains one of them
@@ -97,16 +100,22 @@ Triple = namedtuple("Triple", "n a b u")
 Triple.__doc__ = "One row of the joint stream: the index and all three values there."
 
 
-def _a_values(start: int = 1) -> Iterator[int]:
-    """a_start, a_{start+1}, ...: the given 1, 3, 7 from `start` on, then the a column of _runs(4).
+_HEAD = (1, 3, 7)  # the seed of the walk; a_1..a_64 once the module has loaded
 
-    From 4 on that is just the a column of _runs(start).  The recursion
-    ends: to yield a_j, a walk asks its lags only for values at indices
-    below j, or for a_1..a_3, which are given.  Its _locate reads up to
+
+def _a_values(start: int = 1) -> Iterator[int]:
+    """a_start, a_{start+1}, ...: the held head _HEAD from `start` on, then the a column of _runs past it.
+
+    Past the head that is just the a column of _runs(start).  The
+    recursion ends: to yield a_j, a walk asks its lags only for values at
+    indices below j, or for values in the head.  Its _locate reads up to
     a_{u_{u_j} + 1}, and a window u_j after its first needs the bound
-    a_{u_j + 1}.
+    a_{u_j + 1}.  The head is seeded with the given a_1..a_3 and, at the
+    end of this module, replaced by a_1..a_64 from that seeded walk, so a
+    lookup up to about n = 2e6, whose _locate reads at most a_64, makes no
+    nested lag.
     """
-    return chain((1, 3, 7)[start - 1 :], _column("a", max(start, 4)))
+    return chain(_HEAD[start - 1 :], _column("a", max(start, len(_HEAD) + 1)))
 
 
 def _locate(start: int) -> tuple[int, int, int, int]:
@@ -272,3 +281,6 @@ def value_at(seq: str, n: int) -> int:
     """
     _check_seq(seq)
     return _heads((_int_arg(n, "index", 1),))[0][SEQUENCE_IDS.index(seq)]
+
+
+_HEAD = tuple(islice(_a_values(), 64))

@@ -462,6 +462,72 @@ def test_deep_decade_means_hand_the_loop_whole_windows(monkeypatch, order):
             assert step == (2 * value_at("u", ns[0]) - 1 if seq == "a" else 0)
 
 
+def float_edge_windows():
+    """(summed, ns, exact, step, past) windows of 40 indices around the
+    2^52 and 2^53 edges of _window_sum's float counters, past telling
+    whether the window has reached 2^52: its last index, or |e_n| plus its
+    width times the step of e_n for a."""
+    width, step = 40, 2 * 1_000_001 - 1
+    windows = []
+    for edge in (2**52, 2**53):
+        for last in (edge - 1, edge, edge + 1):
+            ns = range(last - width + 1, last + 1)
+            windows.append(("u", ns, 1_000_001, 0, last >= 2**52))
+            windows.append(("a", ns, -12_345, step, last >= 2**52))
+    ns = range(10**6, 10**6 + width)
+    for sign in (1, -1):
+        for reach in (2**52 - 1, 2**52, 2**52 + 1):
+            windows.append(("a", ns, sign * (reach - width * step), step, reach >= 2**52))
+    return windows
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_window_sum_hands_windows_past_the_float_edge_to_the_loop(monkeypatch, order):
+    # Below 2^52 the unrolled bodies carry n/2 and e_n/2 as floats, exactly,
+    # and give _scaled_sum's float; a window that reaches 2^52 goes to it.
+    class Looped(Exception):
+        pass
+
+    def looped(*args):
+        raise Looped
+
+    scaled_sum = remainders._scaled_sum
+    for summed, ns, exact, step, past in float_edge_windows():
+        coeffs = remainders._PREFIXES[summed][order]
+        expected = scaled_sum(summed, coeffs, ns, exact, step, 0.25)[0]
+        assert remainders._window_sum(summed, coeffs, ns, exact, step, 0.25) == expected
+        with monkeypatch.context() as patched:
+            patched.setattr(remainders, "_scaled_sum", looped)
+            if past:
+                with pytest.raises(Looped):
+                    remainders._window_sum(summed, coeffs, ns, exact, step, 0.25)
+            else:
+                assert remainders._window_sum(summed, coeffs, ns, exact, step, 0.25) == expected
+
+
+def near(*edges):
+    """Integers within 3000 of one of edges."""
+    return st.sampled_from(edges).flatmap(lambda edge: st.integers(edge - 3000, edge + 3000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    summed=st.sampled_from("au"),
+    order=st.integers(1, 3),
+    n0=st.one_of(st.integers(1, 2**53), near(2**52, 2**53 - 3000, 2**53)).map(lambda n: min(max(n, 1), 2**53)),
+    width=st.integers(1, 3000),
+    k=st.integers(1, 2**27),
+    e=st.one_of(st.integers(-(2**54), 2**54), near(2**52, -(2**52), 2**53, -(2**53))),
+)
+def test_window_sum_matches_the_loop_on_any_window(summed, order, n0, width, k, e):
+    # A guard raised to 2^54 fails this: from 2^53 on, n/2 += 0.5 sticks at 2^52.
+    coeffs = remainders._PREFIXES[summed][order]
+    exact, step = (e, 2 * k - 1) if summed == "a" else (k, 0)
+    ns = range(n0, n0 + width)
+    expected = remainders._scaled_sum(summed, coeffs, ns, exact, step, 0.0)[0]
+    assert remainders._window_sum(summed, coeffs, ns, exact, step, 0.0) == expected
+
+
 def test_remainder_table_reaches_far_indices():
     row = remainder_table("u", 1, [10**9])[0]
     assert row.exact == value_at("u", 10**9)

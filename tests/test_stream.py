@@ -277,6 +277,7 @@ def test_lag_length_tracks_u_all_along(monkeypatch):
     # nothing: four lags read at 20000 rows, where the one-level walk read
     # 191, 18, 6, 4 and 3 values.  Each _locate reads the given 1, 3, 7 at
     # most.
+    monkeypatch.setattr(stream, "_HEAD", (1, 3, 7))
     reads = lag_reads(monkeypatch)
     for row in islice(_rows(1), 20_000):
         start, values = reads[1]  # the walk's lag, made after its _locate's
@@ -290,6 +291,41 @@ def test_lag_length_tracks_u_all_along(monkeypatch):
         (1, 3), (4, 1),  # up to a_4
         (1, 3), (4, 0),  # a lag never read
     ]
+
+
+def test_head_holds_the_first_64_a_values():
+    assert stream._HEAD == tuple(row[1] for row in oracle_table()[:64])
+
+
+# The first indices at which _locate's own lag reads a_63, a_64, a_65 and
+# a_66: from 2896929 on it reads past the head.
+FIRST_READS = {63: 2_559_949, 64: 2_724_669, 65: 2_896_929, 66: 3_076_947}
+
+
+def test_jumps_within_the_head_make_no_nested_lag(monkeypatch):
+    # Below FIRST_READS[65] every a-value _locate reads is in the head, so
+    # its lag is the only one made; past it the lag makes nested ones.
+    reads = lag_reads(monkeypatch)
+    for start in (1, 2, 7, 100, 12_345, 10**5, FIRST_READS[65] - 1):
+        reads.clear()
+        _locate(start)
+        assert len(reads) == 1 and len(reads[0][1]) <= 64, start
+    reads.clear()
+    _locate(FIRST_READS[65])
+    assert len(reads) > 1 and len(reads[0][1]) == 65
+
+
+@pytest.mark.parametrize("j", sorted(FIRST_READS))
+def test_values_where_the_jump_leaves_the_head_match_the_seeded_walk(monkeypatch, j):
+    n = FIRST_READS[j]
+    reads = lag_reads(monkeypatch)
+    for start, count in ((n - 1, j - 1), (n, j)):
+        reads.clear()
+        _locate(start)
+        assert len(reads[0][1]) == count
+    held = [value_at(seq, m) for seq in SEQUENCE_IDS for m in (n - 1, n, n + 1)]
+    monkeypatch.setattr(stream, "_HEAD", (1, 3, 7))
+    assert held == [value_at(seq, m) for seq in SEQUENCE_IDS for m in (n - 1, n, n + 1)]
 
 
 def test_jump_reads_about_a_fourth_root_of_its_index(monkeypatch):
