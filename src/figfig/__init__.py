@@ -16,7 +16,9 @@ the remainder tools, but not the checks.  No module of the package
 imports `typing` or `__future__`, so a fresh interpreter that compiles
 the package from source pays for neither (README, "Start-up").
 `_int_arg` checks every integer argument of the public entry points; it
-lives here because every module loads the package first.
+lives here because every module loads the package first, and so does
+`_InputError`, the ValueError that every such check raises for input it
+rejects.
 """
 
 from operator import index as _index
@@ -40,10 +42,15 @@ _HOMES = {
 __all__ = sorted(_HOMES)
 
 
+class _InputError(ValueError):
+    """Rejected input: an argument out of range or a malformed b-file.  The command line
+    exits 2 with its message; any other ValueError is a fault in figfig (exit 70)."""
+
+
 def _int_arg(value: int, name: str, lo: int, hi: int | None = None) -> int:
-    """value by operator.index (a float or str raises TypeError); ValueError unless lo <= value (<= hi)."""
+    """value by operator.index (a float or str raises TypeError); _InputError unless lo <= value (<= hi)."""
     if (value := _index(value)) < lo or hi is not None and value > hi:
-        raise ValueError(f"{name} must be >= {lo}" if hi is None else f"{name} must be in {lo}..{hi}")
+        raise _InputError(f"{name} must be >= {lo}" if hi is None else f"{name} must be in {lo}..{hi}")
     return value
 
 

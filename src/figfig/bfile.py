@@ -41,6 +41,7 @@ from collections.abc import Iterable, Iterator, MutableSequence, Sequence
 from itertools import count, islice, repeat
 from operator import eq, index, itemgetter
 
+from . import _InputError
 from .stream import CheckReport, _check_seq, _column, _numbered
 
 __all__ = [
@@ -56,7 +57,7 @@ _CHUNK_LINES = 1024
 _BLOCK_CHARS = 1 << 15
 
 
-class BFileFormatError(ValueError):
+class BFileFormatError(_InputError):
     """Raised for b-file text that violates the format."""
 
 
@@ -86,7 +87,7 @@ class BFileRecords(Sequence):
 
     def __init__(self, first: int, values: MutableSequence[int]) -> None:
         if (first := index(first)) < 1:
-            raise ValueError(f"record index must be >= 1, got {first}")
+            raise _InputError(f"record index must be >= 1, got {first}")
         self.first = first
         self.values = values
 
@@ -265,8 +266,8 @@ def _first_and_values(records: Sequence[BFileRecord]) -> tuple[int, Sequence[int
     for wanted, index in enumerate(map(itemgetter(0), records), start=max(first, 1)):
         if index != wanted:
             if index < 1:
-                raise ValueError(f"record index must be >= 1, got {index}")
-            raise ValueError(f"records not contiguous at index {index}")
+                raise _InputError(f"record index must be >= 1, got {index}")
+            raise _InputError(f"records not contiguous at index {index}")
     return first, list(map(itemgetter(1), records))
 
 
@@ -293,7 +294,7 @@ def compare_reference(records: Sequence[BFileRecord], seq: str) -> CheckReport:
     _check_seq(seq)
     first, values = _first_and_values(records)
     if not values:
-        raise ValueError("no records to compare")
+        raise _InputError("no records to compare")
     name, hi = f"compare:{seq}", first + len(values) - 1
     column = _column(seq, first)
     for start in range(0, len(values), _CHUNK_LINES):

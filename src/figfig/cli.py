@@ -28,6 +28,7 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice
 
+from . import _InputError
 from .stream import CHECK_NAMES, SEQUENCE_IDS, _columns, _numbered, _runs
 
 __all__ = ["main", "run_cli"]
@@ -77,7 +78,7 @@ def _checked(check, value):
     """What the library's own check returns for value, or an argparse error with its message."""
     try:
         return check(value)
-    except ValueError as exc:
+    except _InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -252,7 +253,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .bfile import compare_reference, parse_bfile
 
     with open(args.bfile, "r", encoding="utf-8") as source:
-        records = parse_bfile(source)
+        try:
+            records = parse_bfile(source)
+        except UnicodeDecodeError as exc:  # a file that is not UTF-8 text is bad input
+            raise _InputError(exc) from None
     report = compare_reference(records, args.seq)
     print(_report_line(report))
     return _OK if report.passed else _FAILED
@@ -316,6 +320,8 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse has already printed its message
         return _OK if exc.code in (0, None) else _USAGE
     try:
+        if any(isinstance(value, str) and "\0" in value for value in vars(args).values()):
+            raise _InputError("embedded null byte")  # what open() says of such a path
         status = args.handler(args)
         sys.stdout.flush()
         return status
@@ -327,7 +333,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _OK
-    except (OSError, ValueError) as exc:  # BFileFormatError is a ValueError
+    except (OSError, _InputError) as exc:  # bad input, BFileFormatError among it; a bug's ValueError is internal
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE
     except KeyboardInterrupt:

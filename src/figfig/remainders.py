@@ -25,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import repeat
 
-from . import _int_arg
+from . import _InputError, _int_arg
 from .series import _EVALUATORS, _PREFIXES, _check_order
 from .stream import SEQUENCE_IDS, _check_seq, _heads, _runs
 
@@ -165,9 +165,9 @@ def _check_ns(ns: Iterable[int]) -> list[int]:
     try:
         ns = [lo := _int_arg(n, "ns", lo + 1) for n in ns]
     except ValueError:
-        raise ValueError("ns must be strictly increasing positive integers") from None
+        raise _InputError("ns must be strictly increasing positive integers") from None
     if not ns:
-        raise ValueError("ns must be non-empty")
+        raise _InputError("ns must be non-empty")
     return ns
 
 
@@ -176,7 +176,7 @@ def _check_decades(lo: int, hi: int) -> tuple[int, int]:
     try:
         return (lo := _int_arg(lo, "first decade", 0)), _int_arg(hi, "last decade", lo)
     except ValueError:
-        raise ValueError("need 0 <= first decade <= last decade") from None
+        raise _InputError("need 0 <= first decade <= last decade") from None
 
 
 # Each series is its _scaled_sum tail plus this head (0 + tail is tail: the u tail is positive).

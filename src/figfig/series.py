@@ -32,7 +32,7 @@ import math
 from functools import lru_cache
 from itertools import accumulate, islice
 
-from . import _int_arg
+from . import _InputError, _int_arg
 
 __all__ = [
     "MAX_ORDER",
@@ -51,7 +51,7 @@ MAX_ORDER = 64
 
 def _check_args(n: int, order: int) -> None:
     if not n >= 1:  # not `n < 1`: a NaN index fails this too
-        raise ValueError("sequence index must be >= 1")
+        raise _InputError("sequence index must be >= 1")
     _check_order(order)
 
 
@@ -101,7 +101,7 @@ def a_coeff(k: int) -> "Fraction":
 def root_pow(x: float, k: int) -> float:
     """x^(1/2^k) by k successive square roots (x >= 0, 1 <= k <= 64)."""
     if not x >= 0:  # not `x < 0`: a NaN argument fails this too
-        raise ValueError("root_pow needs a non-negative argument")
+        raise _InputError("root_pow needs a non-negative argument")
     for _ in range(_check_order(k)):
         x = math.sqrt(x)
     return x
@@ -118,7 +118,7 @@ _PREFIXES = {summed: tuple(accumulate(zip(_floats(summed)), initial=())) for sum
 
 
 def _too_large(what: str) -> ValueError:
-    return ValueError(f"index too large for double-precision series: {what} exceeds the float range")
+    return _InputError(f"index too large for double-precision series: {what} exceeds the float range")
 
 
 def eval_u_series(n: int, order: int) -> float:

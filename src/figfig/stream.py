@@ -23,9 +23,9 @@ k * (width of window k) over the whole windows below n plus one partial
 window.  The windows k that share one value u_k = m form a level-2
 window, on which a_{k+1} = a_k + k + m, so closed sums of k and k^2
 step over a whole one at once: `_locate` finds the window holding
-index n from the ~(8 n)^(1/4) leading a-values, about 1,700 at n =
-1e12 where the window-by-window walk read 1.4 million, and keeps no
-table but a held head of 64 values.
+index n from about (8 n)^(1/4) leading a-values, within 50 of that at
+n = 1e12 (tests/test_stream.py::test_jump_reads_about_a_fourth_root_of_its_index),
+and keeps no table but a held head of 64 values.
 
 The walk lives in one generator, `_runs(start)`, which yields a window
 at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
@@ -61,7 +61,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import accumulate, chain, islice, repeat
 
-from . import _int_arg
+from . import _InputError, _int_arg
 
 __all__ = ["CheckReport", "SEQUENCE_IDS", "Triple", "TripleStream", "value_at"]
 
@@ -91,9 +91,9 @@ class CheckReport(namedtuple("_CheckReportFields", "name lo hi passed first_fail
 
 
 def _check_seq(seq: str) -> None:
-    """Raise ValueError unless `seq` is one of SEQUENCE_IDS."""
+    """Raise _InputError unless `seq` is one of SEQUENCE_IDS."""
     if seq not in SEQUENCE_IDS:
-        raise ValueError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
+        raise _InputError(f"unknown sequence id {seq!r}, expected one of {SEQUENCE_IDS}")
 
 
 Triple = namedtuple("Triple", "n a b u")
@@ -271,13 +271,12 @@ class TripleStream:
 def value_at(seq: str, n: int) -> int:
     """The n-th term of sequence "a", "b", or "u", by O(n^(1/4)) jump-ahead; n is an int (operator.index).
 
-    The jump reads about (8n)^(1/4) leading a-values, and its time grows
-    about that fast: one call took 0.26 s at n = 1e21, 1.7 s at 1e24 and
-    6.6 s at 1e26 (`value_at("u", n)`, one run each, Python 3.11.7 on a
-    shared 2-core host), so an index near 1e40 runs for hours
-    (extrapolated).  No index is refused for its size: a jump that steps
-    over windows of every depth, not only levels 1 and 2, is the fix
-    (ROADMAP item 9).
+    The jump reads about (8n)^(1/4) leading a-values, within 50 of that
+    at n = 1e12 (tests/test_stream.py::test_jump_reads_about_a_fourth_root_of_its_index),
+    and its time grows with them: past about n = 1e18 a call takes tenths
+    of a second and more.  No index is refused for its size: a jump that
+    steps over windows of every depth, not only levels 1 and 2, is the
+    fix (ROADMAP item 9).
     """
     _check_seq(seq)
     return _heads((_int_arg(n, "index", 1),))[0][SEQUENCE_IDS.index(seq)]

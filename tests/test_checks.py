@@ -978,6 +978,20 @@ def test_window_tests_run_the_row_code_once_per_window(monkeypatch, names):
     assert all(count <= windows + 2 for count in calls.values()), (windows, calls)
 
 
+@pytest.mark.parametrize("upto, windows", [(10**6, 1384), (10**9, 44534)])
+def test_verify_reads_one_window_per_value_of_u(monkeypatch, upto, windows):
+    # The walk to upto reads the windows of constant u up to the one that
+    # holds upto, which is window u_upto, and stops there.
+    real, read = checks._runs, []
+
+    def counted(start):
+        return (read.append(window) or window for window in real(start))
+
+    monkeypatch.setattr(checks, "_runs", counted)
+    assert checks._run_checks(upto, CHECK_NAMES) == tuple(CheckReport(name, 1, upto, True) for name in CHECK_NAMES)
+    assert len(read) == windows == value_at("u", upto)
+
+
 def misrecorded(position, delta):
     """A stand-in for checks._a_values whose a_{position + 1}, a bound the
     counting window reads, is off by delta; the stream itself stays true."""

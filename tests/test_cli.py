@@ -556,6 +556,36 @@ def test_internal_error_exits_70_with_its_traceback(monkeypatch, capsys, fault):
     assert sum(line.startswith("internal error:") for line in lines) == 1
 
 
+def test_a_bug_that_raises_value_error_exits_70(monkeypatch, capsys):
+    # Only rejected input exits 2; a ValueError from figfig's own code is
+    # a fault like any other.
+    def faulty(*args):
+        raise ValueError("incomplete format")
+
+    monkeypatch.setattr(cli, "_gen_chunks", faulty)
+    code, out, err = run(capsys, "gen", "--seq", "a", "--count", "5")
+    assert (code, out) == (70, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    lines = err.splitlines()
+    assert lines[-2] == "ValueError: incomplete format"
+    assert sum(line.startswith("internal error:") for line in lines) == 1
+
+
+def test_compare_of_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"\xff\xfe1 1\n")
+    code, out, err = run(capsys, "compare", "--seq", "a", "--bfile", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+
+
+@pytest.mark.parametrize("argv", [("gen", "--seq", "a", "--count", "3", "--out"), ("compare", "--seq", "a", "--bfile")])
+def test_a_path_with_a_null_byte_is_an_input_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, str(tmp_path / "a\0b"))
+    assert (code, out, err) == (2, "", "error: embedded null byte\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_passing_file(tmp_path, capsys):
     path = tmp_path / "ref.txt"
     run(capsys, "gen", "--seq", "u", "--count", "80", "--out", str(path))

@@ -1,5 +1,6 @@
 """Generator behaviour against published terms and the brute-force oracle."""
 
+import tracemalloc
 from functools import lru_cache
 from itertools import islice, takewhile
 
@@ -161,7 +162,7 @@ def test_shift_identity():
 
 
 def test_a_values_are_the_a_column():
-    # The given 1, 3, 7, then the a column of the walk from index 4.
+    # The held head a_1..a_64, then the a column of the walk from index 65.
     expected = [row[1] for row in oracle_table()]
     assert list(islice(_a_values(), len(expected))) == expected
 
@@ -337,6 +338,27 @@ def test_jump_reads_about_a_fourth_root_of_its_index(monkeypatch):
     assert abs(len(reads[0][1]) - (8 * 10**12) ** 0.25) < 50  # _locate's own lag: 1649
     assert sum(len(values) for _, values in reads) <= 2 * 10**3
     assert reads[-1] == (value_at("u", 10**12) + 2, [])  # the walk's own lag, unread
+
+
+def stream_peak(rows):
+    """The tracemalloc peak, in bytes, of a TripleStream made and read for
+    `rows` rows from index 1."""
+    tracemalloc.start()
+    try:
+        for _ in islice(TripleStream(), rows):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stream_memory_does_not_grow_with_n():
+    # The lags are generators over the windows and keep no a-values: the
+    # peak is about 5 KiB at 1e4 rows and at 2e5.  A lag that kept the
+    # sqrt(2n) a-values it read would hold over 600 ints by 2e5.
+    small, large = stream_peak(10**4), stream_peak(2 * 10**5)
+    assert small < 16 * 1024 and large < 16 * 1024, (small, large)
+    assert abs(large - small) < 1024, (small, large)
 
 
 def test_far_apart_indices_cost_a_jump_each(monkeypatch):
