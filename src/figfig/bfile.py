@@ -18,13 +18,13 @@ _BLOCK_CHARS (32 Ki) characters each, so its working memory beyond the
 values is one block.  One `%` call checks a whole block: the index lines
 that stream._numbered writes for the indices that continue the records,
 filled with the block's value tokens, must give back the block's text,
-and then only the values go through `int`, and into the store as the
-bytes of one `struct.pack` call.  A block that fails the check is split
-into lines.  Its leading blank and '#' lines (a b-file's header) carry no
-data, and the rest gets the check again.  What still fails is read by
-the line reader, one line at a time, with the records, errors and line
-numbers of a line-by-line parse.  Any other source (a list or an
-iterator of lines) is read whole by the line reader.
+and then only the values go through `int`, and into the store by one
+`fromlist` call.  A block that fails the check is split into lines.  Its
+leading blank and '#' lines (a b-file's header) carry no data, and the
+rest gets the check again.  What still fails is read by the line reader,
+one line at a time, with the records, errors and line numbers of a
+line-by-line parse.  Any other source (a list or an iterator of lines)
+is read whole by the line reader.
 
 `compare_reference` compares the values with the generator's column of
 the sequence a chunk at a time, by list equality (each chunk copied to
@@ -34,7 +34,6 @@ lines of stream._numbered.
 """
 
 import io
-import struct
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, MutableSequence, Sequence
@@ -192,7 +191,9 @@ def _extend_plain(records: BFileRecords, text: str) -> int:
     the value tokens and rebuilds the whole block, so equal text proves the
     layout and every index at once, and only the values go through `int`.
     Such a line is never blank or a comment, and reading it line by line
-    would give the same pair.
+    would give the same pair.  The values enter an array store by one
+    `fromlist` call, which takes them all or none: on the OverflowError of
+    a value past 64 bits the store becomes a list, as in `_read_lines`.
     """
     if text.count(" ") != text.count("\n"):
         return 0  # not one space to a line: spare the split and the rebuild
@@ -214,8 +215,8 @@ def _extend_plain(records: BFileRecords, text: str) -> int:
         store += values
     else:
         try:
-            store.frombytes(struct.pack(f"{len(values)}q", *values))  # all or nothing
-        except struct.error:  # a value past 64 bits: a list from here on
+            store.fromlist(values)  # all or nothing
+        except OverflowError:  # a value past 64 bits: a list from here on
             records.values = store.tolist() + values
     return len(values)
 

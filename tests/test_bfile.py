@@ -640,6 +640,25 @@ def test_parse_keeps_each_value_at_the_64_bit_edges(value, place, layout):
     assert sink.getvalue() == canonical
 
 
+def test_parse_switches_to_a_list_in_a_later_block():
+    # 3000 plain lines in 4096-character blocks: seven blocks, and line 2500
+    # past 64 bits in the sixth, after five blocks filled the array.  A
+    # switch that dropped those blocks, or a fill that appended part of the
+    # sixth before it overflowed, would not give the values back.
+    values = [3 * n for n in range(1, 3001)]
+    values[2499] = 2**63 + 5
+    text = "".join(f"{n} {value}\n" for n, value in enumerate(values, start=1))
+    # A block ends at the last newline of its read; line 2500's ends at the
+    # character before "2501 ".
+    assert (text.index("\n2501 ") // 4096, len(text) // 4096) == (5, 6)
+    with mock.patch.object(bfile, "_BLOCK_CHARS", 4096):
+        records = parse_bfile(io.StringIO(text))
+    assert type(records.values) is list and records.values == values
+    sink = io.StringIO()
+    write_bfile(records, sink)
+    assert sink.getvalue() == text
+
+
 def test_parse_and_compare_values_past_64_bits(tmp_path):
     # a near index 10**12 is about 5e23, past 2**63 from the first record.
     values = list(islice(_column("a", 10**12), 3000))

@@ -100,6 +100,20 @@ def test_no_module_imports_typing_or_future_without_site(code, argv):
     assert not loaded & {"typing", "__future__"}
 
 
+@pytest.mark.parametrize(
+    "code, argv",
+    [pytest.param("import figfig\n" + call, (), id=call.split("(")[0])
+     for call, modules in LIBRARY_CALLS if "figfig.bfile" in modules]
+    + [pytest.param(CLI_RUN, argv, id=argv[0]) for argv, modules in COMMANDS if "bfile" in modules],
+)
+def test_bfile_reads_load_no_struct_without_site(code, argv):
+    # The value store names its element type once, in array("q"), and fills
+    # itself with array.fromlist, so reading a b-file needs no struct.
+    loaded = loaded_after(code, *argv, site=False)
+    assert "figfig.bfile" in loaded
+    assert "struct" not in loaded
+
+
 def test_series_call_loads_no_collections_abc_without_site():
     # The series module annotates with quoted names, so its first call
     # imports no collections.abc where nothing else has (functools still
