@@ -9,13 +9,13 @@ scripts/bench_pairs.py makes it (the run length from BENCHMARK.json, 1 s
 with --smoke, which also passes --smoke on).  The file, written to the
 root of this repository unless --out names another directory, holds the
 checkout's commit (and whether its tracked files differ from it), the
-tree it measured (the tree of `git stash create`, which changes nothing
-in the checkout, or of HEAD when no tracked file differs), the Python
-version, the machine and the seeds, and per workload the median
-and quartiles (inclusive method) of each end-to-end metric over the
-seeds, with the failed and attempted operations summed over them.  One
-file per commit, made on one machine, gives the trajectory a later change
-is measured against.
+trees of `src` and `bench` it measured (those of `git stash create`,
+which changes nothing in the checkout, or of HEAD when no tracked file
+differs), the Python version, the machine and the seeds, and per
+workload the median and quartiles (inclusive method) of each end-to-end
+metric over the seeds, with the failed and attempted operations summed
+over them.  One file per commit, made on one machine, gives the
+trajectory a later change is measured against.
 """
 
 import argparse
@@ -75,11 +75,13 @@ def main(argv: list[str] | None = None) -> int:
         workloads[name] = {"metrics": metrics, "failed": sum(run["failed"] for run in runs[name]),
                            "attempted": sum(run["attempted"] for run in runs[name])}
     snapshot = git(args.checkout, "stash", "create") or "HEAD"
+    src_tree, bench_tree = git(args.checkout, "rev-parse", f"{snapshot}:src", f"{snapshot}:bench").split()
     record = {
         "label": args.label,
         "commit": git(args.checkout, "rev-parse", "HEAD"),
         "tracked_changes": bool(git(args.checkout, "status", "--porcelain", "--untracked-files=no")),
-        "tree": git(args.checkout, "rev-parse", f"{snapshot}^{{tree}}"),
+        "src_tree": src_tree,
+        "bench_tree": bench_tree,
         "python": platform.python_version(),
         "machine": {"system": platform.system(), "release": platform.release(), "arch": platform.machine(),
                     "cpu": cpu_model(), "cpus": os.cpu_count()},

@@ -9,11 +9,13 @@ end-to-end metric of this repository's BENCHMARK.json for each of its
 workloads, workload by workload.  The files are written by
 scripts/bench_record.py.
 
-For a file recorded from a working tree whose tracked files differed
-from its commit, the commit column shows the commit of this repository's
-history whose tree is the tree the file measured (the oldest, if several
-are); where none is, or the file names no tree, it shows the file's own
-commit with a `+`.
+For a file that names the trees of `src` and `bench` it measured, the
+commit column shows the oldest commit of this repository's history that
+holds both trees, so a file committed together with the change it
+measured names that commit; where none does, it shows the file's own
+commit with a `+`.  A file that names no such trees shows its own commit,
+with a `+` if it was recorded from a working tree whose tracked files
+differed from that commit.
 """
 
 import json
@@ -28,12 +30,26 @@ def label_key(label: str) -> list:
     return [int(part) if part.isdigit() else part for part in re.split(r"(\d+)", label)]
 
 
-def commit_cell(record: dict, commits: dict[str, str]) -> str:
-    """The commit column of record's row, given the commit of each tree in the history."""
-    if not record["tracked_changes"]:
+def tree_commits() -> dict[tuple[str, str], str]:
+    """The oldest commit of the history holding each pair of `src` and `bench` trees."""
+    log = subprocess.run(["git", "log", "--format=%H"], cwd=ROOT, capture_output=True, text=True, check=True)
+    commits = log.stdout.split()
+    names = "".join(f"{commit}:src\n{commit}:bench\n" for commit in commits)
+    batch = subprocess.run(["git", "cat-file", "--batch-check"], cwd=ROOT, input=names,
+                           capture_output=True, text=True, check=True)
+    # One line per name: the tree's hash, or "<commit>:bench missing" before bench/ existed.
+    trees = [line.split()[0] for line in batch.stdout.splitlines()]
+    # Newest first, so the oldest commit of a pair is the one kept.
+    return dict(zip(zip(trees[::2], trees[1::2]), commits))
+
+
+def commit_cell(record: dict, commits: dict[tuple[str, str], str]) -> str:
+    """The commit column of record's row, given the oldest commit of each pair of trees."""
+    if "src_tree" in record:
+        if commit := commits.get((record["src_tree"], record["bench_tree"])):
+            return commit[:7]
+    elif not record["tracked_changes"]:
         return record["commit"][:7]
-    if commit := commits.get(record.get("tree")):
-        return commit[:7]
     return record["commit"][:7] + "+"
 
 
@@ -41,9 +57,7 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     columns = [(workload["name"], metric["name"]) for workload in spec["workloads"] for metric in spec["end_to_end"]]
     records = [json.loads(path.read_text(encoding="utf-8")) for path in ROOT.glob("BENCH_*.json")]
-    log = subprocess.run(["git", "log", "--format=%H %T"], cwd=ROOT, capture_output=True, text=True, check=True)
-    # Newest first, so the oldest commit of a tree is the one kept.
-    commits = {tree: commit for commit, tree in map(str.split, log.stdout.splitlines())}
+    commits = tree_commits()
     print("| label | commit | " + " | ".join(f"{workload} {metric}" for workload, metric in columns) + " |")
     print("|---" * (len(columns) + 2) + "|")
     for record in sorted(records, key=lambda record: label_key(record["label"])):

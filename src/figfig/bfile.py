@@ -13,18 +13,19 @@ index 4e9 does.  The first value outside that range turns the store into
 a list of ints, once, for the rest of that parse.
 
 The read-back is bulk work.  `parse_bfile` reads a source with `read` (a
-file, an io.StringIO, or a string) in blocks of whole lines, about
-_BLOCK_CHARS (32 Ki) characters each, so its working memory beyond the
-values is one block.  One `%` call checks a whole block: the index lines
-that stream._numbered writes for the indices that continue the records,
-filled with the block's value tokens, must give back the block's text,
-and then only the values go through `int`, and into the store by one
-`fromlist` call.  A block that fails the check is split into lines.  Its
-leading blank and '#' lines (a b-file's header) carry no data, and the
-rest gets the check again.  What still fails is read by the line reader,
-one line at a time, with the records, errors and line numbers of a
-line-by-line parse.  Any other source (a list or an iterator of lines)
-is read whole by the line reader.
+file, an io.StringIO, or a string) in blocks of whole lines: _BLOCK_CHARS
+(32 Ki) characters from `read`, then the rest of the last line from
+`readline`, so its working memory beyond the values is one block.  One
+`%` call checks a whole block: the index lines that stream._numbered
+writes for the indices that continue the records, filled with the
+block's value tokens, must give back the block's text, and then only the
+values go through `int`, and into the store by one `fromlist` call.  A
+block that fails the check is split into lines.  Its leading blank and
+'#' lines (a b-file's header) carry no data, and the rest gets the check
+again.  What still fails is read by the line reader, one line at a time,
+with the records, errors and line numbers of a line-by-line parse.  Any
+other source (a list or an iterator of lines) is read whole by the line
+reader.
 
 `compare_reference` compares the values with the generator's column of
 the sequence a chunk at a time, by list equality (each chunk copied to
@@ -121,10 +122,11 @@ def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
     naming the gap for indices that do not step by 1.
 
     A source with `read` (a string is read as an io.StringIO) is taken as
-    text whose lines end at each newline character, as a file opened with
-    the default newline handling gives them; any other source is taken as
-    the lines it yields.  So a file opened with newline='' whose lines end
-    in a bare carriage return is passed as a list of its lines.
+    a text stream with `readline` too, as files and io.StringIO are, whose
+    lines end at each newline character, as a file opened with the default
+    newline handling gives them; any other source is taken as the lines it
+    yields.  So a file opened with newline='' whose lines end in a bare
+    carriage return is passed as a list of its lines.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -139,20 +141,13 @@ def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
 
 
 def _text_blocks(source: io.TextIOBase) -> Iterator[str]:
-    """Each block of whole lines that `source.read` gives, _BLOCK_CHARS
-    characters at a time with the last partial line carried over.  A last
-    line without a newline is given one, which changes nothing, since each
-    line is stripped before it is read."""
-    carry = ""
+    """Each block of whole lines of `source`: _BLOCK_CHARS characters from
+    `read`, then the rest of its last line from `readline`.  A last line
+    without a newline is given one, which changes nothing, since each line
+    is stripped before it is read."""
     while text := source.read(_BLOCK_CHARS):
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield carry + text[:cut]
-            carry = text[cut:]
-        else:
-            carry += text
-    if carry:
-        yield carry + "\n"
+        text += source.readline()
+        yield text if text.endswith("\n") else text + "\n"
 
 
 def _extend_block(records: BFileRecords, text: str, lineno: int) -> int:

@@ -179,34 +179,31 @@ def _check_decades(lo: int, hi: int) -> tuple[int, int]:
         raise _InputError("need 0 <= first decade <= last decade") from None
 
 
-# Each series is its _scaled_sum tail plus this head (0 + tail is tail: the u tail is positive).
-_SERIES_HEADS = {"a": lambda n: n * n / 2, "b": lambda n: n, "u": lambda n: 0}
-
-
 def remainder_table(seq: str, order: int, ns: Sequence[int]) -> list[RemainderRow]:
     """RemainderRow for each requested index, each read off its own jump into the stream.
 
     ns must be non-empty and strictly increasing ints (operator.index);
     order is the truncation depth whose next rung scales the remainder.
     Each index is read by its own O(n^(1/4)) jump-ahead, however far
-    apart the indices are; an index past the range of the series
-    evaluator raises its ValueError.
-    Each row's series is summed on its own, by one flat climb of the ladder.
+    apart the indices are.  The series column is the series evaluator's
+    own value, computed for every index before any jump, so an index past
+    the evaluator's range raises its ValueError first.  Each row's
+    remainder is summed on its own, by one flat climb of the ladder.
     """
     _check_seq(seq)
     order = _check_order(order)
     ns = _check_ns(ns)
     # Past the float range the evaluator raises its ValueError at once,
     # where the jump there would run for ever.
-    _EVALUATORS[seq](ns[-1], order)
+    series = [_EVALUATORS[seq](n, order) for n in ns]
     summed = "a" if seq == "a" else "u"
     coeffs = _PREFIXES[summed][order]
-    position, head = SEQUENCE_IDS.index(seq), _SERIES_HEADS[seq]
+    position = SEQUENCE_IDS.index(seq)
     rows = []
-    for n, values in zip(ns, _heads(ns)):
+    for n, truncated, values in zip(ns, series, _heads(ns)):
         a, _, u = values
-        scaled, tail, remainder = _scaled_sum(summed, coeffs, (n,), 2 * a - n * n if seq == "a" else u, 0, 0.0)
-        rows.append(RemainderRow(n, order, values[position], head(n) + tail, remainder, scaled))
+        scaled, _, remainder = _scaled_sum(summed, coeffs, (n,), 2 * a - n * n if seq == "a" else u, 0, 0.0)
+        rows.append(RemainderRow(n, order, values[position], truncated, remainder, scaled))
     return rows
 
 

@@ -29,7 +29,6 @@ their own; none of this changes a bit of any result.
 """
 
 import math
-from functools import lru_cache
 from itertools import accumulate, islice
 
 from . import _InputError, _int_arg
@@ -77,7 +76,6 @@ def _fraction(k: int, summed: str) -> "Fraction":
     return Fraction(*next(islice(_ratios(summed), _int_arg(k, "coefficient position", 1) - 1, None)))
 
 
-@lru_cache(maxsize=None)
 def u_coeff(k: int) -> "Fraction":
     """Exact coefficient of (n/2)^(1/2^k) in the u-series.
 
@@ -88,7 +86,6 @@ def u_coeff(k: int) -> "Fraction":
     return _fraction(k, "u")
 
 
-@lru_cache(maxsize=None)
 def a_coeff(k: int) -> "Fraction":
     """Exact coefficient of (n/2)^(1 + 1/2^k) in the a-series.
 
