@@ -9,7 +9,11 @@ where T is the `run_seconds` of this repository's BENCHMARK.json (1 with
 --smoke, which also passes --smoke on), one run at a time, the parent
 first in odd pairs and the change first in even ones, and reads the JSON
 line each run ends with.  The children run with PYTHONDONTWRITEBYTECODE=1,
-so they leave no bytecode behind.
+so they leave no bytecode behind.  A checkout that holds a __pycache__
+directory under src/ or bench/ (left there by a test run, say) is
+refused: Python would import its bytecode in place of the source, so the
+run would measure other code, and would skip the compile time that every
+fresh checkout pays.
 
 For each end-to-end metric of this repository's BENCHMARK.json, in the
 direction its `better` names, one row gives each side's median and
@@ -36,7 +40,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def one_run(checkout: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
-    """The JSON result of one untraced benchmark run in `checkout`."""
+    """The JSON result of one untraced benchmark run in `checkout`, which must hold no bytecode."""
+    caches = sorted(cache for part in ("src", "bench") for cache in (checkout / part).rglob("__pycache__"))
+    if caches:
+        raise SystemExit(f"error: {caches[0]} holds bytecode, which the run would import in place of the source;"
+                         " run on a checkout without it")
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"] + ["--smoke"] * smoke
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,

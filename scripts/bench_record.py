@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Run the benchmark in one checkout over every workload and record the result as BENCH_<LABEL>.json.
 
-    python3 scripts/bench_record.py CHECKOUT LABEL --seeds N [--smoke] [--out DIR]
+    python3 scripts/bench_record.py CHECKOUT LABEL --seeds N [--smoke]
 
 For each seed i from 1 to N and each workload of this repository's
 BENCHMARK.json, one untraced run of `bench/run.py` in CHECKOUT, exactly as
 scripts/bench_pairs.py makes it (the run length from BENCHMARK.json, 1 s
 with --smoke, which also passes --smoke on).  The file, written to the
-root of this repository unless --out names another directory, holds the
-checkout's commit (and whether its tracked files differ from it), the
-trees of `src` and `bench` it measured (those of `git stash create`,
-which changes nothing in the checkout, or of HEAD when no tracked file
-differs), the Python version, the machine and the seeds, and per
-workload the median and quartiles (inclusive method) of each end-to-end
-metric over the seeds, with the failed and attempted operations summed
-over them.  One file per commit, made on one machine, gives the
-trajectory a later change is measured against.
+root of this repository, holds the checkout's commit, the trees of `src`
+and `bench` it measured (those of `git stash create`, which changes
+nothing in the checkout, or of HEAD when no tracked file differs), the
+Python version, the machine and the seeds, and per workload the median
+and quartiles (inclusive method) of each end-to-end metric over the
+seeds, with the failed and attempted operations summed over them.  One
+file per commit, made on one machine, gives the trajectory a later
+change is measured against.
 """
 
 import argparse
@@ -52,7 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("label")
     parser.add_argument("--seeds", required=True, type=int)
     parser.add_argument("--smoke", action="store_true", help="tiny sizes, for a fast check of this script")
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory to write BENCH_<LABEL>.json to")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
@@ -79,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "label": args.label,
         "commit": git(args.checkout, "rev-parse", "HEAD"),
-        "tracked_changes": bool(git(args.checkout, "status", "--porcelain", "--untracked-files=no")),
         "src_tree": src_tree,
         "bench_tree": bench_tree,
         "python": platform.python_version(),
@@ -90,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "workloads": workloads,
     }
-    path = args.out / f"BENCH_{args.label}.json"
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(path)
     return 0

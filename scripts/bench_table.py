@@ -9,13 +9,11 @@ end-to-end metric of this repository's BENCHMARK.json for each of its
 workloads, workload by workload.  The files are written by
 scripts/bench_record.py.
 
-For a file that names the trees of `src` and `bench` it measured, the
-commit column shows the oldest commit of this repository's history that
-holds both trees, so a file committed together with the change it
-measured names that commit; where none does, it shows the file's own
-commit with a `+`.  A file that names no such trees shows its own commit,
-with a `+` if it was recorded from a working tree whose tracked files
-differed from that commit.
+Each file names the trees of `src` and `bench` it measured.  The commit
+column shows the oldest commit of this repository's history that holds
+both trees, so a file committed together with the change it measured
+names that commit; where none does, it shows the file's own commit with
+a `+`.
 """
 
 import json
@@ -45,11 +43,8 @@ def tree_commits() -> dict[tuple[str, str], str]:
 
 def commit_cell(record: dict, commits: dict[tuple[str, str], str]) -> str:
     """The commit column of record's row, given the oldest commit of each pair of trees."""
-    if "src_tree" in record:
-        if commit := commits.get((record["src_tree"], record["bench_tree"])):
-            return commit[:7]
-    elif not record["tracked_changes"]:
-        return record["commit"][:7]
+    if commit := commits.get((record["src_tree"], record["bench_tree"])):
+        return commit[:7]
     return record["commit"][:7] + "+"
 
 

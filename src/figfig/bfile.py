@@ -20,12 +20,10 @@ file, an io.StringIO, or a string) in blocks of whole lines: _BLOCK_CHARS
 writes for the indices that continue the records, filled with the
 block's value tokens, must give back the block's text, and then only the
 values go through `int`, and into the store by one `fromlist` call.  A
-block that fails the check is split into lines.  Its leading blank and
-'#' lines (a b-file's header) carry no data, and the rest gets the check
-again.  What still fails is read by the line reader, one line at a time,
-with the records, errors and line numbers of a line-by-line parse.  Any
-other source (a list or an iterator of lines) is read whole by the line
-reader.
+block that fails the check, a b-file's '#' header among them, goes whole
+to the line reader, one line at a time, with the records, errors and
+line numbers of a line-by-line parse.  Any other source (a list or an
+iterator of lines) is read whole by the line reader.
 
 `compare_reference` compares the values with the generator's column of
 the sequence a chunk at a time, by list equality (each chunk copied to
@@ -127,6 +125,11 @@ def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
     newline handling gives them; any other source is taken as the lines it
     yields.  So a file opened with newline='' whose lines end in a bare
     carriage return is passed as a list of its lines.
+
+    A text stream is read in blocks of whole lines.  Each block passes the
+    one-`%` check of `_extend_plain`, or goes whole to `_read_lines`,
+    numbered from its first line; a block that holds a '#' header is of
+    the second kind.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -136,7 +139,10 @@ def parse_bfile(source: str | Iterable[str]) -> BFileRecords:
         return records
     lineno = 1
     for text in _text_blocks(source):
-        lineno += _extend_block(records, text, lineno)
+        if not (taken := _extend_plain(records, text)):
+            taken = text.count("\n")
+            _read_lines(records, text.split("\n")[:-1], lineno)  # the text ends with a newline
+        lineno += taken
     return records
 
 
@@ -148,31 +154,6 @@ def _text_blocks(source: io.TextIOBase) -> Iterator[str]:
     while text := source.read(_BLOCK_CHARS):
         text += source.readline()
         yield text if text.endswith("\n") else text + "\n"
-
-
-def _extend_block(records: BFileRecords, text: str, lineno: int) -> int:
-    """Append the records of `text`, a block of whole lines whose first is
-    line `lineno`, and return the number of its lines.
-
-    A block that fails the one-`%` check is split into its lines.  Its
-    leading blank and '#' lines, such as a b-file's header, carry no data,
-    so the rest gets the check again; if that fails too, `_read_lines`
-    reads the rest.
-    """
-    if taken := _extend_plain(records, text):
-        return taken
-    lines = text.split("\n")[:-1]  # the text ends with a newline
-    skip = 0
-    for line in lines:
-        line = line.strip()
-        if line and not line.startswith("#"):
-            break
-        skip += 1
-    if 0 < skip < len(lines):
-        if taken := _extend_plain(records, text.split("\n", skip)[skip]):
-            return skip + taken
-    _read_lines(records, lines[skip:], lineno + skip)
-    return len(lines)
 
 
 def _extend_plain(records: BFileRecords, text: str) -> int:

@@ -104,14 +104,12 @@ class _Identities:
         self.next_n, self.u_sum = 1, 0
         self.previous_a = self.previous_b = 0
 
-    def counting_window(self, u: int) -> tuple[int, int] | None:
-        """(a_u - u, a_{u+1} - (u + 1)), or None for u < 1.
+    def counting_window(self, u: int) -> tuple[int, int]:
+        """(a_u - u, a_{u+1} - (u + 1)), for u >= 1.
 
         The lag steps a window as u does; any other u, which only a faulty
         row carries (and fails here), gets its bounds by jumps to u and u + 1.
         """
-        if u < 1:
-            return None
         if u == self.k + 1:
             self.k, self.a_k, self.a_next = u, self.a_next, next(self.a_values)
         if u == self.k:
@@ -150,9 +148,9 @@ class _Identities:
             failure = (n, f"b = {b} but n + u = {n + u}")
         elif a != 1 + (n - 1) * n // 2 + self.u_sum:
             failure = (n, f"a = {a} but 1 + (n-1)n/2 + sum(u) = {1 + (n - 1) * n // 2 + self.u_sum}")
-        elif (bounds := self.counting_window(u)) is None:
+        elif u < 1:
             failure = (n, f"u = {u} below 1 has no counting window")
-        elif not bounds[0] < n <= bounds[1]:
+        elif not (bounds := self.counting_window(u))[0] < n <= bounds[1]:
             failure = (n, f"counting window ({bounds[0]}, {bounds[1]}] misses n")
         self.failure = failure
         self.next_n, self.u_sum = n + 1, self.u_sum + u

@@ -358,8 +358,9 @@ def test_parse_bad_value_in_a_plain_chunk_names_its_line():
 
 
 def test_parse_checks_the_records_after_a_header_in_bulk(monkeypatch):
-    # The header fails the one-% check of the first block; the lines after
-    # it get the check again, and none is read by the line reader.
+    # The header fails the one-% check of the first block, which goes whole
+    # to the line reader, numbered from line 1; every later block passes
+    # the check, and none is read by the line reader.
     read_lines = mock.Mock(wraps=bfile._read_lines)
     monkeypatch.setattr(bfile, "_read_lines", read_lines)
     path = DATA / "b005228.txt"
@@ -369,18 +370,21 @@ def test_parse_checks_the_records_after_a_header_in_bulk(monkeypatch):
     assert parse_bfile(io.StringIO(text)) == expected
     with open(path, encoding="utf-8") as source:
         assert parse_bfile(source) == expected
-    read_lines.assert_not_called()
+    assert read_lines.call_count == 2
+    for call in read_lines.call_args_list:
+        _, lines, lineno = call.args
+        assert (lines[0], lineno) == (text.split("\n")[0], 1) and len(lines) < 10_001
 
 
 def test_parse_gives_the_chunk_reader_the_lines_after_a_header(monkeypatch):
-    # Tabs fail the % check; the line reader gets the lines after the
-    # header, numbered from the first of them.
+    # Tabs fail the % check; the line reader gets the whole block, header
+    # and all, numbered from its first line.
     text = "# header\n\n" + "".join(f"{n}\t{3 * n}\n" for n in range(1, 101))
     read_lines = mock.Mock(wraps=bfile._read_lines)
     monkeypatch.setattr(bfile, "_read_lines", read_lines)
     assert parse_bfile(text) == BFileRecords(1, [3 * n for n in range(1, 101)])
     [(_, lines, lineno)] = [call.args for call in read_lines.call_args_list]
-    assert (lines[0], len(lines), lineno) == ("1\t3", 100, 3)
+    assert (lines[0], len(lines), lineno) == ("# header", 102, 1)
 
 
 def test_parse_takes_each_element_of_a_list_as_one_line():
