@@ -10,39 +10,41 @@ through every integer strictly between consecutive a-values:
     u_n = b_n - n = k  throughout that run
 
 A run of b is therefore just a range, and its index window is
-(a_k - k, a_{k+1} - (k + 1)], of width b_k - 1.  The bounds a_k are
-themselves the a column of the same walk, read from a second walk that
-lags behind it: the run at index n needs a-values only up to index
-u_n + 1, about sqrt(2 n), and that walk in turn needs only about
-sqrt(2 sqrt(2 n)), so the nesting is O(log log n) deep and each row
-costs amortized O(1) integer operations.
+(a_k - k, a_{k+1} - (k + 1)], of width b_k - 1.  The windows k that
+share one value u_k = m form a level-2 window, k from a_m - m + 1 to
+a_{m+1} - m - 1, on which a_{k+1} = a_k + k + m.  So each bound comes
+from the one before by that closed form, and the walk reads an a-value
+only where k enters a new level-2 window: at index n it has read up to
+a_{m+1} for m = u_{u_n}, about (8 n)^(1/4) values.  It reads them from
+a second walk that lags behind it, the a column of the same walk, which
+in turn reads about the fourth root of that, so the nesting is
+O(log log n) deep and each row costs amortized O(1) integer operations.
 
 Random access follows from the windows.  Since a_n = 1 + (n-1)n/2 + the
 sum of u_i over i < n, and u is constant on each window, that sum is
 k * (width of window k) over the whole windows below n plus one partial
-window.  The windows k that share one value u_k = m form a level-2
-window, on which a_{k+1} = a_k + k + m, so closed sums of k and k^2
-step over a whole one at once: `_locate` finds the window holding
-index n from about (8 n)^(1/4) leading a-values, within 50 of that at
-n = 1e12 (tests/test_stream.py::test_jump_reads_about_a_fourth_root_of_its_index),
-and keeps no table but a held head of 64 values.
+window, and closed sums of k and k^2 step over a whole level-2 window
+at once.  So the jump to the window holding index n reads about
+(8 n)^(1/4) leading a-values, within 50 of that at n = 1e12
+(tests/test_stream.py::test_jump_reads_about_a_fourth_root_of_its_index),
+the same values the walk from 1 reads on its way there, and keeps no
+table but a held head of 64 values.
 
-The walk lives in one generator, `_runs(start)`, which yields a window
-at a time as (n, a_n, first, hi, k): the b-values are range(first, hi),
-the indices run from n, u = k throughout, and the next window's a is
-a_n plus the sum of that range.  It starts from `_locate(start)`, and
-its lag `_a_values(k + 2)` is its own a column from the next window's
-bound on, found by the same jump one level down.  Every lag starts in
-`_HEAD`, the first 64 a-values, built once at import by the seeded walk;
-past a_64 it goes on by a walk of its own, so a jump to n below about
-2e6, which reads at most a_64, makes no nested lag.  The law checks and
-the decade means read the windows themselves.  `_columns` gives one
-window's n, a, b and u columns as C-level iterables, which the law
-checks and `figfig gen` read; `_column(seq, start)` chains one of them
-across the windows from `start`, which the b-file compare reads;
-`_heads` reads the values at a few sparse indices, one jump each, for
-value_at and the remainder table; and `_rows` zips each window's
-columns into `Triple` rows for TripleStream.
+The jump and the walk live in one generator, `_runs(start)`, with one
+lag, `_a_values()`.  It yields a window at a time as
+(n, a_n, first, hi, k): the b-values are range(first, hi), the indices
+run from n, u = k throughout, and the next window's a is a_n plus the
+sum of that range.  Every lag starts in `_HEAD`, the first 64 a-values,
+built once at import by the seeded walk; past a_64 it goes on by a walk
+of its own, so a jump or a walk to n below about 2.9e6, which reads at
+most a_64, makes no nested lag.  The law checks and the decade means
+read the windows themselves.  `_columns` gives one window's n, a, b and
+u columns as C-level iterables, which the law checks and `figfig gen`
+read; `_column(seq, start)` chains one of them across the windows from
+`start`, which the b-file compare reads; `_heads` reads the values at a
+few sparse indices, one jump each, for value_at and the remainder table;
+and `_rows` zips each window's columns into `Triple` rows for
+TripleStream.
 
 The index column, which counts up by 1, is written as text by
 `_numbered`, for `figfig gen` and for the b-file reader's check and its
@@ -103,36 +105,40 @@ Triple.__doc__ = "One row of the joint stream: the index and all three values th
 _HEAD = (1, 3, 7)  # the seed of the walk; a_1..a_64 once the module has loaded
 
 
-def _a_values(start: int = 1) -> Iterator[int]:
-    """a_start, a_{start+1}, ...: the held head _HEAD from `start` on, then the a column of _runs past it.
+def _a_values() -> Iterator[int]:
+    """a_1, a_2, ...: the held head _HEAD, then the a column of _runs past it.
 
-    Past the head that is just the a column of _runs(start).  The
-    recursion ends: to yield a_j, a walk asks its lags only for values at
-    indices below j, or for values in the head.  Its _locate reads up to
-    a_{u_{u_j} + 1}, and a window u_j after its first needs the bound
-    a_{u_j + 1}.  The head is seeded with the given a_1..a_3 and, at the
-    end of this module, replaced by a_1..a_64 from that seeded walk, so a
-    lookup up to about n = 2e6, whose _locate reads at most a_64, makes no
-    nested lag.
+    The recursion ends: a walk up to index j asks its lag only for a_{m+1},
+    with m = u_{u_j}, about (8 j)^(1/4) and far below j, or for values in
+    the head.  The head is seeded with the given a_1..a_3 and, at the end
+    of this module, replaced by a_1..a_64 from that seeded walk, so a walk
+    up to about n = 2.9e6, whose lag reads at most a_64, makes no nested
+    lag.
     """
-    return chain(_HEAD[start - 1 :], _column("a", max(start, len(_HEAD) + 1)))
+    return chain(_HEAD, _column("a", len(_HEAD) + 1))
 
 
-def _locate(start: int) -> tuple[int, int, int, int]:
-    """(k, a_k, a_{k+1}, s): the window k of constant u holding index `start` (>= 1), and s the sum of u below it.
+def _runs(start: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Windows of constant u from index `start` (>= 1) on, one per step.
+
+    Each step is (n, a, first, hi, k): the window's first index n, a_n,
+    and its b-values range(first, hi), on which u = k.  The first window
+    is the part of window k from `start` on, so its `first` is b_start.
 
     Window k holds the indices (a_k - k, a_{k+1} - (k + 1)], b_k - 1 of
     them, on which u = k.  Since b_i = i + u_i,
 
         a_k = 1 + k (k - 1) / 2 + (sum of u_i over i < k)
-        s = (k - 1) k (k - 2) / 3 + (sum of i u_i over i < k).
+        s = (k - 1) k (k - 2) / 3 + (sum of i u_i over i < k)
 
-    The windows i with one value u_i = m are level-2 window m, i from
-    a_m - m + 1 to a_{m+1} - m - 1, so each such run adds m times its
-    length to the first sum and m times the sum of its i to the second.
-    The walk steps over whole level-2 windows, reading a_{m+1} from a lag
-    of a-values, about (8 start)^(1/4) steps, and bisects the last one
-    for k.
+    for s the sum of u below window k.  The windows i with one value
+    u_i = m are level-2 window m, i from a_m - m + 1 to a_{m+1} - m - 1,
+    so each such run adds m times its length to the first sum and m times
+    the sum of its i to the second.  The jump steps over whole level-2
+    windows, reading a_{m+1} from a lag of a-values, about (8 start)^(1/4)
+    steps, and bisects the last one for k.  Past it each bound is
+    a_{k+1} = a_k + k + m, and the lag is read for the next a_{m+1} only
+    when k leaves level-2 window m.
     """
     lag = _a_values()
     m, lo, hi = 1, next(lag), next(lag)  # a_m and a_{m+1}
@@ -149,31 +155,19 @@ def _locate(start: int) -> tuple[int, int, int, int]:
         m, lo, hi = m + 1, hi, next(lag)
     first = lo - m + 1
     k = bisect_left(range(hi - m), start, first, key=last)
-    a = 1 + k * (k - 1) // 2 + q + m * (k - first)
+    a_k = 1 + k * (k - 1) // 2 + q + m * (k - first)
     s = (k - 1) * k * (k - 2) // 3 + r + m * (first + k - 1) * (k - first) // 2
-    return k, a, a + k + m, s
-
-
-def _runs(start: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """Windows of constant u from index `start` (>= 1) on, one per step.
-
-    Each step is (n, a, first, hi, k): the window's first index n, a_n,
-    and its b-values range(first, hi), on which u = k.  The first window
-    is the part of window k from `start` on, so its `first` is b_start;
-    _locate finds k.  The bound a_{k+2} of the next window and those
-    after it come from a lag, _a_values(k + 2), the same jump a level
-    down, drawn only when that window is asked for.
-    """
-    k, lo, hi, u_sum = _locate(start)
+    top = a_k + k + m  # a_{k+1}, the hi of window k
     n = start
-    u_sum += k * (n - 1 - (lo - k))
-    a = 1 + (n - 1) * n // 2 + u_sum
+    a = 1 + (n - 1) * n // 2 + s + k * (n - 1 - (a_k - k))
     first = n + k  # b_n
-    lag = _a_values(k + 2)
     while True:
-        yield n, a, first, hi, k
-        n, a = n + hi - first, a + (first + hi - 1) * (hi - first) // 2
-        k, first, hi = k + 1, hi + 1, next(lag)
+        yield n, a, first, top, k
+        n, a = n + top - first, a + (first + top - 1) * (top - first) // 2
+        k, first = k + 1, top + 1
+        if k == hi - m:
+            m, hi = m + 1, next(lag)
+        top += k + m
 
 
 def _columns(n: int, a: int, first: int, hi: int, k: int) -> tuple[Iterable[int], ...]:

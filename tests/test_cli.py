@@ -480,6 +480,15 @@ def test_remainder_rejects_bad_points(capsys, ns):
     )
 
 
+def test_remainder_rejects_points_that_are_not_integers(capsys):
+    code, out, err = run(capsys, "remainder", "--seq", "u", "--order", "1", "--ns", "1,x")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: figfig remainder ")
+    assert err.splitlines()[-1] == (
+        "figfig remainder: error: argument --ns: expected comma-separated integers"
+    )
+
+
 @pytest.mark.parametrize("decades", ["3", "1:2:3", "a:3", "1:", ""])
 def test_remainder_rejects_malformed_decades(capsys, decades):
     code, _, err = run(capsys, "remainder", "--seq", "u", "--order", "1", "--decades", decades)
@@ -641,6 +650,18 @@ def test_usage_errors(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "gen", "--seq", "z", "--count", "3")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--seq", "a", "--count", "0"],
+    ["verify", "--check", "all", "--upto", "0"],
+    ["approx", "--seq", "u", "--order", "1", "--n", "0"],
+])
+def test_counts_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: figfig {argv[0]} ")
+    assert err.splitlines()[-1] == f"figfig {argv[0]}: error: argument {argv[-2]}: must be >= 1"
 
 
 def test_help_exits_cleanly(capsys):

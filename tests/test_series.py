@@ -202,6 +202,17 @@ def test_eval_domain_errors(call):
             call()
 
 
+@pytest.mark.parametrize(
+    "evaluate, n", [(eval_u_series, "5"), (eval_b_series, None), (eval_a_series, "5")]
+)
+def test_eval_non_number_index_raises_the_comparison_type_error(evaluate, n):
+    # A valid order leaves the TypeError of the index's own `n >= 1` test
+    # as it is, with no message of the package's in its place.
+    kind = type(n).__name__
+    with pytest.raises(TypeError, match=f"^'>=' not supported between instances of '{kind}' and 'int'$"):
+        evaluate(n, 2)
+
+
 # The first index whose head term leaves the double range, for each
 # series: ints from 2^1024 - 2^970 on round to 2^1024, past the largest
 # double.  n/2 (u) reaches that at twice the limit, n itself (b) at the

@@ -22,7 +22,6 @@ from figfig.stream import (
     _a_values,
     _column,
     _columns,
-    _locate,
     _numbered,
     _rows,
     _runs,
@@ -46,16 +45,16 @@ U_FIRST = [1, 2, 2, 2, 3, 3, 3, 3, 4, 4]
 
 def lag_reads(monkeypatch):
     """Patch stream._a_values so that each lag it makes records the values
-    read from it; return the list of (start, values) records, in the order
-    the lags were made.  A walk makes its _locate's lag first, and its own
-    lag once _locate has returned, after any lags made inside the first."""
+    read from it; return the list of those value lists, in the order the
+    lags were made.  A walk makes its one lag first, and the lags nested
+    in it as it reads past the held head."""
     real = stream._a_values
     reads = []
 
-    def recording(start=1):
+    def recording():
         values = []
-        reads.append((start, values))
-        return (values.append(value) or value for value in real(start))
+        reads.append(values)
+        return (values.append(value) or value for value in real())
 
     monkeypatch.setattr(stream, "_a_values", recording)
     return reads
@@ -129,7 +128,7 @@ def test_value_at_takes_any_integer_index():
 
 def test_value_at_far_index_is_pinned():
     # Recorded on their own, not derived from the walk under test; the one
-    # at 10**15 came from the one-level walk that _locate replaced.
+    # at 10**15 came from the one-level walk that the level-2 jump replaced.
     assert value_at("a", 10**12) == 500000941936492050650505
     assert value_at("a", 10**15) == A_AT_1E15
 
@@ -264,33 +263,46 @@ def test_far_jump_agrees_with_streaming_from_an_earlier_jump():
     # Also jump to the first index of the next window of constant u, so
     # that the rows streamed up to it cross a window's end.
     for start in (10**9, 10**18):
-        k, _, a_next, _ = _locate(start)
-        for jump in (start, a_next - k):
+        _, _, _, hi, k = next(_runs(start))
+        for jump in (start, hi - k):
             streamed = list(islice(_rows(jump - 3000), 3050))[3000:]
             assert streamed == list(islice(_rows(jump), 50))
 
 
+@pytest.mark.parametrize("n", [10**9, 10**18])
+def test_walked_windows_match_a_jump_to_each(n):
+    # Past its first window the walk takes each bound by the closed form
+    # and reads its lag only as u_k steps up.  Start just before the last
+    # window k with u_k = m, for m = u_{u_n}, so the walk crosses into
+    # level-2 window m + 1: each whole window it walks must equal the
+    # first window of a jump to its first index.
+    m = value_at("u", value_at("u", n))
+    k = value_at("a", m + 1) - m - 1
+    assert (value_at("u", k), value_at("u", k + 1)) == (m, m + 1)
+    windows = list(islice(_runs(value_at("a", k) - k), 5))
+    assert [window[4] for window in windows] == [k - 1, k, k + 1, k + 2, k + 3]
+    for window in windows[1:]:
+        assert window == next(_runs(window[0]))
+
+
 def test_lag_length_tracks_u_all_along(monkeypatch):
-    # The walk from 1 starts in window 1, so its lag starts at a_3; at a
-    # row of u it has read up to a_{u+1} of it, so about sqrt(2n) values
-    # at index n.  That lag is the walk from 4, whose lag reads up to about
-    # the square root of that, and so on down to a walk from 4 that reads
-    # nothing: four lags read at 20000 rows, where the one-level walk read
-    # 191, 18, 6, 4 and 3 values.  Each _locate reads the given 1, 3, 7 at
-    # most.
+    # The walk from 1 reads a_{m+1} from its one lag as k enters level-2
+    # window m, so at a row of u it has read up to a_{m+1} for m = u_u,
+    # about (8n)^(1/4) values at index n.  That lag is the walk from 4,
+    # whose lag reads up to about the fourth root of that, and so on down
+    # to a walk from 4 that reads only the given 1, 3, 7: three lags and
+    # 25 values at 20000 rows, where a walk with a second lag of its own
+    # made ten lags and read 222 values.
     monkeypatch.setattr(stream, "_HEAD", (1, 3, 7))
     reads = lag_reads(monkeypatch)
+    u = [row[3] for row in oracle_table()]
     for row in islice(_rows(1), 20_000):
-        start, values = reads[1]  # the walk's lag, made after its _locate's
-        assert start == 3
-        assert row.u + 1 <= start + len(values) - 1 <= row.u + 2  # the last index read
-    assert values == [row[1] for row in oracle_table()[2 : 2 + len(values)]]
-    assert [(start, len(values)) for start, values in reads] == [
-        (1, 2), (3, 189),  # the walk from 1: its _locate's lag, its lag
-        (1, 3), (4, 15),  # the walk from 4 in that lag, which reads up to a_18
-        (1, 3), (4, 3),  # up to a_6
-        (1, 3), (4, 1),  # up to a_4
-        (1, 3), (4, 0),  # a lag never read
+        assert len(reads[0]) == u[row.u - 1] + 1  # the last index read
+    assert reads[0] == [row[1] for row in oracle_table()[: len(reads[0])]]
+    assert [len(values) for values in reads] == [
+        18,  # the walk from 1, up to a_18
+        4,  # the walk from 4 in its lag, up to a_4
+        3,  # the walk from 4 in that one's lag, which yields a_4
     ]
 
 
@@ -298,22 +310,22 @@ def test_head_holds_the_first_64_a_values():
     assert stream._HEAD == tuple(row[1] for row in oracle_table()[:64])
 
 
-# The first indices at which _locate's own lag reads a_63, a_64, a_65 and
-# a_66: from 2896929 on it reads past the head.
+# The first indices at which a jump's lag, or a walk's, reads a_63, a_64,
+# a_65 and a_66: from 2896929 on it reads past the head.
 FIRST_READS = {63: 2_559_949, 64: 2_724_669, 65: 2_896_929, 66: 3_076_947}
 
 
 def test_jumps_within_the_head_make_no_nested_lag(monkeypatch):
-    # Below FIRST_READS[65] every a-value _locate reads is in the head, so
+    # Below FIRST_READS[65] every a-value the jump reads is in the head, so
     # its lag is the only one made; past it the lag makes nested ones.
     reads = lag_reads(monkeypatch)
     for start in (1, 2, 7, 100, 12_345, 10**5, FIRST_READS[65] - 1):
         reads.clear()
-        _locate(start)
-        assert len(reads) == 1 and len(reads[0][1]) <= 64, start
+        next(_runs(start))
+        assert len(reads) == 1 and len(reads[0]) <= 64, start
     reads.clear()
-    _locate(FIRST_READS[65])
-    assert len(reads) > 1 and len(reads[0][1]) == 65
+    next(_runs(FIRST_READS[65]))
+    assert len(reads) > 1 and len(reads[0]) == 65
 
 
 @pytest.mark.parametrize("j", sorted(FIRST_READS))
@@ -322,22 +334,36 @@ def test_values_where_the_jump_leaves_the_head_match_the_seeded_walk(monkeypatch
     reads = lag_reads(monkeypatch)
     for start, count in ((n - 1, j - 1), (n, j)):
         reads.clear()
-        _locate(start)
-        assert len(reads[0][1]) == count
+        next(_runs(start))
+        assert len(reads[0]) == count
     held = [value_at(seq, m) for seq in SEQUENCE_IDS for m in (n - 1, n, n + 1)]
     monkeypatch.setattr(stream, "_HEAD", (1, 3, 7))
     assert held == [value_at(seq, m) for seq in SEQUENCE_IDS for m in (n - 1, n, n + 1)]
 
 
+def test_rows_across_the_head_edge_match_the_seeded_walk(monkeypatch):
+    # The walk from 3000 rows below FIRST_READS[65] reads a_65, past the
+    # held head, as it streams over that index, and its lag nests a walk
+    # there.  Every row matches the stream from the seeded head.
+    start = FIRST_READS[65] - 3000
+    reads = lag_reads(monkeypatch)
+    rows = _rows(start)
+    held = list(islice(rows, 3000))
+    assert len(reads) == 1 and len(reads[0]) == 64
+    held += islice(rows, 3000)
+    assert len(reads) > 1 and len(reads[0]) == 65
+    monkeypatch.setattr(stream, "_HEAD", (1, 3, 7))
+    assert held == list(islice(_rows(start), 6000))
+
+
 def test_jump_reads_about_a_fourth_root_of_its_index(monkeypatch):
     # The one-level walk read the 1.4e6 leading a-values to reach 10**12.
-    # _locate's lag reads about (8 n)^(1/4) = 1682 of them, and the lags
+    # The jump's lag reads about (8 n)^(1/4) = 1682 of them, and the lags
     # its lag makes in turn only a few dozen more.
     reads = lag_reads(monkeypatch)
     assert value_at("a", 10**12) == 500000941936492050650505
-    assert abs(len(reads[0][1]) - (8 * 10**12) ** 0.25) < 50  # _locate's own lag: 1649
-    assert sum(len(values) for _, values in reads) <= 2 * 10**3
-    assert reads[-1] == (value_at("u", 10**12) + 2, [])  # the walk's own lag, unread
+    assert abs(len(reads[0]) - (8 * 10**12) ** 0.25) < 50  # the jump's own lag: 1649
+    assert sum(map(len, reads)) <= 2 * 10**3
 
 
 def stream_peak(rows):
@@ -366,15 +392,15 @@ def test_far_apart_indices_cost_a_jump_each(monkeypatch):
     # two jumps read a few thousand.
     reads = lag_reads(monkeypatch)
     rows = remainder_table("u", 1, [10, 10**12])
-    assert sum(len(values) for _, values in reads) <= 4 * 10**3
+    assert sum(map(len, reads)) <= 4 * 10**3
     assert [row.exact for row in rows] == [4, value_at("u", 10**12)]
     assert remainder_table("a", 1, [10, 10**15])[1].exact == A_AT_1E15
 
 
 def reference_locate(start):
-    """(k, a_k, a_{k+1}, s) by the walk that _locate replaced, kept as the
-    reference: one window of constant u at a time, its bounds read from
-    the oracle's a column, about sqrt(2 start) steps."""
+    """(k, a_k, a_{k+1}, s) by the walk that the level-2 jump replaced,
+    kept as the reference: one window of constant u at a time, its bounds
+    read from the oracle's a column, about sqrt(2 start) steps."""
     lag = iter(oracle_a_column())
     k, lo, hi = 1, next(lag), next(lag)
     u_sum = 0  # sum of u over the whole windows below window k
@@ -391,9 +417,8 @@ def oracle_a_column():
 
 
 def check_locate(start):
-    """_locate(start) and the first window of _runs(start) against reference_locate."""
+    """The first window of _runs(start), the jump's, against reference_locate."""
     k, a_k, a_next, u_sum = reference_locate(start)
-    assert _locate(start) == (k, a_k, a_next, u_sum)
     a = 1 + (start - 1) * start // 2 + u_sum + k * (start - 1 - (a_k - k))
     assert next(_runs(start)) == (start, a, start + k, a_next, k)
 
