@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from figfig import BFileRecords, cli, compare_reference, parse_bfile, run_cli, stream, value_at, write_bfile
 
+from children import run_figfig, started
 from oracle import oracle_triples
 
 COLUMNS = ("n", "a", "b", "u")
@@ -385,8 +386,8 @@ def test_approx_formats_fifteen_significant_digits(capsys):
 def test_approx_stdout_is_pinned(capsys):
     # data/approx_stdout.txt is the stdout of `figfig approx` for seq a, b, u
     # and, within each, order 1, 2, 3, 8, 64, one run each with every n
-    # below: the bytes every series kernel must keep.  CI checks the
-    # installed script against the same file.
+    # below: the bytes every series kernel must keep, on every Python
+    # that runs the tests.
     ns = [1, 2, 3, 10, 10**3, 10**6, 10**9, 10**12, 10**15, 10**18]
     outs = []
     for seq in "abu":
@@ -531,9 +532,8 @@ def test_verify_all_reaches_1e9(capsys):
 
 
 def test_verify_identities_needs_two_terms(capsys):
-    code, _, err = run(capsys, "verify", "--check", "identities", "--upto", "1")
-    assert code == 2
-    assert "error:" in err
+    code, out, err = run(capsys, "verify", "--check", "identities", "--upto", "1")
+    assert (code, out, err) == (2, "", "error: upto must be >= 2\n")
 
 
 def test_verify_validates_every_check_before_output(capsys):
@@ -671,25 +671,18 @@ def test_help_exits_cleanly(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "figfig", "gen", "--seq", "a", "--count", "3"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_figfig("gen", "--seq", "a", "--count", "3")
     assert proc.returncode == 0
     assert proc.stdout == "1 1\n2 3\n3 7\n"
 
 
 def test_closed_stdout_ends_normally():
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "figfig", "gen", "--seq", "a", "--count", "200000"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
-    head = [proc.stdout.readline() for _ in range(2)]
-    proc.stdout.close()  # as `| head -2` does
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 0
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with started("-m", "figfig", "gen", "--seq", "a", "--count", "200000", **pipes) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()  # as `| head -2` does
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
     assert head == [b"1 1\n", b"2 3\n"]
     assert err == b""

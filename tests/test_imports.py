@@ -2,14 +2,12 @@
 public names the package hands out on first access."""
 
 import importlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import figfig
+from children import run_python
 
 BFILE = Path(__file__).resolve().parent / "data" / "b005228.txt"
 
@@ -40,16 +38,12 @@ def loaded_after(code, *argv, site=True):
     that code does not (a `site` hook may import typing, say), and finds
     figfig through PYTHONPATH alone.
     """
-    flags, env = (), None
-    if not site:
-        flags = ("-S",)
-        env = {**os.environ, "PYTHONPATH": str(Path(figfig.__file__).resolve().parent.parent)}
     report = "\nprint('\\n'.join(sys.modules), file=sys.stderr)"
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", "import sys\n" + code + report, *argv],
+    proc = run_python(
+        "-c", "import sys\n" + code + report, *argv,
+        flags=() if site else ("-S",),
         capture_output=True,
         text=True,
-        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines())
