@@ -20,12 +20,12 @@ direction its `better` names, one row gives each side's median and
 quartiles (inclusive method), the change's median gap to the parent as a
 percentage (positive is better) against the metric's bound, the change's
 wins, ties and losses over the pairs, and whether a gain may be claimed:
-the change wins at least nine tenths of the pairs, its median is better
-than the parent's by more than the parent's interquartile range, and no
-larger share of its operations fails than of the parent's.  A last row gives each
-side's failed and attempted operations.  The script only drives bench/,
-which keeps its scratch files under .bench_work/ in each checkout while
-it runs; it edits nothing there.
+at least ten pairs were run, the change wins at least nine tenths of
+them, its median is better than the parent's by more than the parent's
+interquartile range, and no larger share of its operations fails than of
+the parent's.  A last row gives each side's failed and attempted
+operations.  The script only drives bench/, which keeps its scratch files
+under .bench_work/ in each checkout while it runs; it edits nothing there.
 """
 
 import argparse
@@ -69,7 +69,7 @@ def compare(parent: list[float], change: list[float], better: str, bound: float,
     wins, ties = sum(gap > 0 for gap in gaps), sum(gap == 0 for gap in gaps)
     (p_med, p_q1, p_q3), (c_med, c_q1, c_q3) = spread(parent), spread(change)
     gain = sign * (c_med - p_med)
-    claim = 10 * wins >= 9 * len(gaps) and gain > p_q3 - p_q1 and fails_no_more
+    claim = len(gaps) >= 10 and 10 * wins >= 9 * len(gaps) and gain > p_q3 - p_q1 and fails_no_more
     return (f"{p_med:.4g} [{p_q1:.4g}, {p_q3:.4g}]  {c_med:.4g} [{c_q1:.4g}, {c_q3:.4g}]  "
             f"{100 * gain / p_med:+.1f}% (bound -{100 * bound:.0f}%)  "
             f"{wins}/{ties}/{len(gaps) - wins - ties}  {'yes' if claim else 'no'}")

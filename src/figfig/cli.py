@@ -190,8 +190,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         header, line = _GEN_FORMATS[args.seq, args.format]
     except KeyError:  # the one pair the table leaves out: a triple as a b-file
-        print("error: bfile format holds one sequence; use --seq a, b, or u", file=sys.stderr)
-        return _USAGE
+        raise _InputError("bfile format holds one sequence; use --seq a, b, or u") from None
     _emit(chain([header], _gen_chunks(line, args.seq, args.count)), args.out)
     return _OK
 

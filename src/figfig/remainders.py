@@ -8,16 +8,19 @@ how tightly, is a convention of this package's test suite rather than a
 proved enclosure.  Both remainder tools climb the ladder index by index
 with the same float operations, in the same order, as the series
 evaluators take, and add each scaled remainder to a running float: the
-table by one kernel that climbs in a flat loop, the decade means one
-window of constant u at a time, by an unrolled body at orders 1 to 3 and
-by that loop deeper.  So the decade means' working memory stays a few
-windows' worth however many decades they span; each decade's scaled
-values are added left to right, one at a time, so the means are the
-same floats an index-by-index walk gives.  The unrolled bodies count in
-floats, n/2 by 0.5 and e_n/2 by half its step, which hold every value
-exactly below 2^52; a window that reaches 2^52 goes to the loop, which
-makes the same float operations from ints.  Remainder rows are named
-tuples, so loading this module imports no `dataclasses`.
+table by one kernel, a loop that both families share and that climbs as
+the evaluators climb, bit for bit
+(tests/test_series.py::test_series_kernels_equal_an_independent_ladder),
+and the decade means one window of constant u at a time, by an unrolled
+body at orders 1 to 3 and by that loop deeper.  So the decade means'
+working memory stays a few windows' worth however many decades they
+span; each decade's scaled values are added left to right, one at a
+time, so the means are the same floats an index-by-index walk gives.
+The unrolled bodies count in floats, n/2 by 0.5 and e_n/2 by half its
+step, which hold every value exactly below 2^52; a window that reaches
+2^52 goes to the loop, which makes the same float operations from ints.
+Remainder rows are named tuples, so loading this module imports no
+`dataclasses`.
 """
 
 import math
@@ -50,40 +53,28 @@ def _scaled_sum(
     remainder is the u remainder, since b and its series both exceed u and
     its series by exactly n.  For a, the n^2/2 head is subtracted in
     integers (inside e_n) before any float enters, to dodge cancellation.
-    Each index climbs the ladder in a flat loop by the float operations of
-    eval_u_series and eval_a_series, so its tail equals theirs bit for
-    bit; one more square root of its last rung (n/2)^(1/2^order) gives the
-    next rung, which scales the remainder.  The first rung is taken out of
-    the loop: the evaluators add its term to 0.0, and 0.0 + x is x for
-    every double but -0.0, which that term never is, since n >= 1 makes
-    the root positive and the first coefficient of each family is
-    positive.  This is the remainder table's kernel, and the decade
-    means' at orders 4 to 64; at orders 1 to 3 they take _window_sum's
-    unrolled bodies, which make these float operations in this order from
-    float counters, except on a window that reaches 2^52, which comes here.
+    Each index climbs the ladder in the one loop both families share,
+    step for step the loop of eval_u_series and eval_a_series: the a
+    family scales each term by n/2, and the u family by 1.0, which
+    changes no float.  So its tail equals theirs bit for bit; one more
+    square root of its last rung (n/2)^(1/2^order) gives the next rung,
+    which scales the remainder.  This is the remainder table's kernel,
+    and the decade means' at orders 4 to 64; at orders 1 to 3 they take
+    _window_sum's unrolled bodies, which make these float operations in
+    this order from float counters, except on a window that reaches
+    2^52, which comes here.
     """
-    sqrt = math.sqrt
-    first, rest = coeffs[0], coeffs[1:]
-    if summed == "a":
-        for n in ns:
-            half = n / 2
-            root = sqrt(half)
-            tail = first * root * half
-            for coeff in rest:
-                root = sqrt(root)
-                tail += coeff * root * half
-            remainder = exact / 2 - tail
-            total += remainder / (half * sqrt(root))
-            exact += step
-    else:
-        for n in ns:
-            root = sqrt(n / 2)
-            tail = first * root
-            for coeff in rest:
-                root = sqrt(root)
-                tail += coeff * root
-            remainder = exact - tail
-            total += remainder / sqrt(root)
+    sqrt, summed_a = math.sqrt, summed == "a"
+    for n in ns:
+        root = half = n / 2
+        scale = half if summed_a else 1.0
+        tail = 0.0
+        for coeff in coeffs:
+            root = sqrt(root)
+            tail += coeff * root * scale
+        remainder = (exact / 2 if summed_a else exact) - tail
+        total += remainder / (scale * sqrt(root))
+        exact += step
     return total, tail, remainder
 
 
@@ -96,12 +87,13 @@ def _window_sum(summed: str, coeffs: tuple[float, ...], ns: range, exact: int, s
     unrolled body: the rungs r1 = sqrt(n/2), r2 = sqrt(r1), r3 = sqrt(r2),
     the tail c1*r1 + c2*r2 + c3*r3 summed left to right (each product
     times n/2 for a), and one more root to scale.  These are _scaled_sum's
-    float operations in its order, so each scaled remainder, and the
-    total, is the same float; the body only spares the inner loop over
-    the coefficients on every index.  Its counters are floats: n/2 steps
-    by 0.5 from the window's first index, u is converted once, and e_n/2
-    steps by step/2, so no index pays for an int or a mixed int-float
-    operation.  Each counter is an integer or a half-integer below 2^52,
+    float operations in its order, less its start from 0.0 and its u
+    scale of 1.0, which change no float; so each scaled remainder, and
+    the total, is the same float, and the body only spares the inner
+    loop over the coefficients on every index.  Its counters are floats:
+    n/2 steps by 0.5 from the window's first index, u is converted once,
+    and e_n/2 steps by step/2, so no index pays for an int or a mixed
+    int-float operation.  Each counter is an integer or a half-integer below 2^52,
     which a float holds exactly, so every root and difference gets the
     input _scaled_sum gives it.  A window whose last index, or whose
     |e_n| + width * step, reaches 2^52 goes to _scaled_sum, as do deeper

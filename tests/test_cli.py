@@ -71,11 +71,12 @@ def test_gen_jsonl(capsys):
     assert rows == [{"n": 1, "a": 1, "b": 2, "u": 1}, {"n": 2, "a": 3, "b": 4, "u": 2}]
 
 
-def test_gen_triple_cannot_be_a_bfile(capsys):
-    code, out, err = run(capsys, "gen", "--seq", "triple", "--count", "3")
-    assert code == 2
-    assert out == ""
-    assert "bfile" in err
+def test_gen_triple_cannot_be_a_bfile(tmp_path, capsys):
+    usage = (2, "", "error: bfile format holds one sequence; use --seq a, b, or u\n")
+    assert run(capsys, "gen", "--seq", "triple", "--count", "3") == usage
+    target = tmp_path / "triple.txt"
+    assert run(capsys, "gen", "--seq", "triple", "--count", "3", "--out", str(target)) == usage
+    assert not target.exists()
 
 
 def test_gen_to_file_matches_stdout(tmp_path, capsys):

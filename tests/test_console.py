@@ -333,3 +333,13 @@ def test_remainder_table_over_many_rows(seq):
         gap = abs(exact - series - remainder)
         assert gap <= 1e-9 * max(1.0, abs(exact)), f"remainder off at line {number}: {row}"
     assert len(rows) == 2858
+
+
+def test_console_runs_without_site():
+    # `python -S` loads no site hook and no installed package, so figfig
+    # runs on the standard library alone, from the tree under test, and
+    # every annotation is evaluated at import on this Python.
+    proc = run_figfig("gen", "--seq", "a", "--count", "10000", flags=("-S",), text=False)
+    assert (proc.returncode, proc.stdout) == (0, b"".join(reference_lines("a"))), proc.stderr
+    proc = run_figfig("verify", "--check", "all", "--upto", "100000", flags=("-S",))
+    assert (proc.returncode, proc.stdout) == (0, passes(*LAWS, upto=100000)), proc.stderr
